@@ -6,9 +6,9 @@
 //! is the Rust analogue: a file-driven conformance suite every future
 //! change regresses against.
 //!
-//! * [`format`] — the `.fml` test-file format: source program, checker
-//!   mode, extra environment, and an expected principal type
-//!   (`expect:`) or expected error substring (`expect-error:`), plus
+//! * [`format`](mod@format) — the `.fml` test-file format: source
+//!   program, checker mode, extra environment, and an expected principal
+//!   type (`expect:`) or expected error substring (`expect-error:`), plus
 //!   `differs-from:` obligations for the paper's `•`-variant freeze/thaw
 //!   pairs.
 //! * [`runner`] — run parsed cases through the real

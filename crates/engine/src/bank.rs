@@ -1,14 +1,40 @@
-//! The concurrent scheme bank: a sharded, fingerprint-partitioned
-//! [`SchemeStore`](crate::SchemeStore) that many worker threads intern
-//! into and read from **without a global lock**.
+//! The scheme bank: inference results exported as [`SchemeId`]s —
+//! sharing-preserving, α-canonical, **zonk-free**, and shared by many
+//! worker threads **without a global lock**.
 //!
-//! PR 3's executor wrapped one `SchemeStore` in a `Mutex`, so every
-//! worker serialised on scheme import/export — and a panicking worker
-//! poisoned the store for the rest of the session. This module keeps
-//! the store's semantics (hash-consed ground de Bruijn nodes, so a
-//! [`SchemeId`] is an α-equivalence class and id equality is scheme
-//! equality) while spreading the arena over `SHARDS` independently
-//! locked shards:
+//! [`Store::zonk`] re-expands a DAG-shared type into a `core::Type`
+//! tree. For the pair chain that expansion is exponential: the type is
+//! O(n) in the store and 2ⁿ as a tree, so a scheme crossing the
+//! engine→service boundary as a tree would undo everything hash-consing
+//! bought. The bank keeps schemes in DAG form across that boundary:
+//!
+//! * it is a hash-consed arena of **ground scheme nodes** with **de
+//!   Bruijn binders** — no flexible variables, no mutable cells, binders
+//!   nameless. Hash-consing over de Bruijn nodes makes a `SchemeId` an
+//!   **α-equivalence class**: two α-equivalent schemes with the same free
+//!   variables intern to the same id, so the service's Merkle cache can
+//!   key on the id directly and "same scheme" is an integer comparison;
+//! * [`SchemeBank::export`] copies the reachable, resolved part of a
+//!   session [`Store`] into the bank in O(DAG) — cells are read through,
+//!   never expanded;
+//! * [`SchemeBank::intern_into`] is the inverse: layering a cached scheme
+//!   back into a session store (a dependency's scheme entering `Γ`) is
+//!   again O(DAG), with no `core::Type` tree in between;
+//! * [`SchemeBank::to_type`] and [`SchemeBank::pretty`] materialise a
+//!   tree / a string **on demand** — the protocol boundary (`type-of`,
+//!   goldens) is the only place that pays, and `pretty` memoises per id
+//!   so shared subterms are rendered once (O(DAG) structural work plus
+//!   the unavoidable O(output) bytes).
+//!
+//! A `SchemeId` is shared by *every* α-equivalent scheme, so its
+//! rendering must be a function of the α-class: binders are lettered
+//! canonically (`forall a. a -> a`), never taken from any one exporter's
+//! source names — restoring those would leak one binding's annotation
+//! names into another's output. Binder *name hints* are still recorded
+//! (outside the hash) and guide [`SchemeBank::intern_into`], where the
+//! use is per-occurrence and no cross-binding leak is possible.
+//!
+//! The arena is spread over [`SHARDS`] independently locked shards:
 //!
 //! * a node's **home shard** is chosen by its structural fingerprint
 //!   (`fp & (SHARDS-1)`), so α-identical nodes interned from any thread
@@ -22,22 +48,19 @@
 //! * locks recover from poisoning (`PoisonError::into_inner`) — shard
 //!   state is only written under invariant-preserving single-node
 //!   operations, so a panicked writer leaves the shard valid and a
-//!   poisoned lock is safe to re-enter. One crashed binding can no
-//!   longer take the session's scheme space down with it.
+//!   poisoned lock is safe to re-enter. One crashed binding cannot take
+//!   the session's scheme space down with it.
 //!
-//! The traversal algorithms (export, intern-into, rendering, canonical
-//! lettering) are the store's, re-expressed over [`SchemeBank::view`]
-//! snapshots; the differential test in `tests/bank_differential.rs`
-//! holds the two implementations to the same α-class partition and
-//! byte-identical renderings. As with `Store`/`SchemeStore`, a fix to
-//! either interner's probe or slab logic almost certainly applies to
-//! both — keep them in lockstep.
+//! The hub holds one bank for every session; a single-threaded caller
+//! (elaboration's per-call bank in [`crate::elab`]) pays only
+//! uncontended shard locks. `tests/bank_properties.rs` holds the id
+//! partition to `Type::alpha_eq`, single-threaded, under racing
+//! threads, and across a snapshot round trip.
 
 use crate::snapshot::{AbsorbedSnapshot, PortableCon, PortableNode, SnapshotError};
 use crate::store::{reprobe, Shape, Store, TypeId};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, PoisonError};
-use crate::SchemeId;
 use freezeml_core::{Symbol, TyCon, TyVar, Type};
 use freezeml_obs::lockrank;
 use fxhash::{FxHashMap, FxHashSet};
@@ -53,6 +76,21 @@ pub const SHARDS: usize = 1 << SHARD_BITS;
 
 const SHARD_MASK: u32 = (SHARDS as u32) - 1;
 
+/// An exported scheme: an id minted by a [`SchemeBank`]. Within one
+/// bank, id equality is α-equivalence (for schemes with the same free
+/// variables).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+pub struct SchemeId(u32);
+
+impl SchemeId {
+    /// The raw encoding `(slot << SHARD_BITS) | shard` — stable and
+    /// unique for the life of the bank; what the service mixes into
+    /// observability output.
+    pub fn index(self) -> u32 {
+        self.0
+    }
+}
+
 /// A contiguous child range in one shard's slab.
 #[derive(Clone, Copy)]
 struct SRange {
@@ -60,13 +98,21 @@ struct SRange {
     len: u32,
 }
 
-/// One scheme node, as stored. Child ids are *global* (bank-encoded)
-/// [`SchemeId`]s; the `SRange` indexes the owning shard's slab.
+/// One scheme node, as stored. Ground (no flexible variables) and
+/// nameless at binders (de Bruijn indices), so structural identity is
+/// α-identity. Child ids are *global* (bank-encoded) [`SchemeId`]s; the
+/// `SRange` indexes the owning shard's slab.
 #[derive(Clone, Copy)]
 enum SNode {
+    /// A binder occurrence: de Bruijn index, 0 = innermost `∀`.
     Bound(u32),
+    /// A free variable (a source-named rigid, or — for open schemes —
+    /// a residual variable's stable name).
     Free(TyVar),
+    /// A fully applied constructor.
     Con(TyCon, SRange),
+    /// A quantifier over the body. Nameless; the display hint lives in
+    /// `Shard::hints`, outside the hash.
     Forall(SchemeId),
 }
 
@@ -79,7 +125,9 @@ enum View {
     Forall(SchemeId),
 }
 
-/// One lock's worth of the bank: a miniature `SchemeStore` arena.
+/// One lock's worth of the bank: node arena, child slab, and intern
+/// table. The probe protocol (`reprobe` on fingerprint collision) and
+/// slab layout are [`Store`]'s.
 #[derive(Default)]
 struct Shard {
     nodes: Vec<SNode>,
@@ -119,12 +167,9 @@ fn slot_of(id: SchemeId) -> usize {
 }
 
 fn assemble(slot: usize, shard: usize) -> SchemeId {
-    let raw = ((slot as u32) << SHARD_BITS) | shard as u32;
-    assert!(
-        slot_of(SchemeId::from_raw(raw)) == slot,
-        "scheme bank shard overflow"
-    );
-    SchemeId::from_raw(raw)
+    let id = SchemeId(((slot as u32) << SHARD_BITS) | shard as u32);
+    assert!(slot_of(id) == slot, "scheme bank shard overflow");
+    id
 }
 
 /// The sharded concurrent scheme arena. See the module docs.
@@ -282,16 +327,26 @@ impl SchemeBank {
     // ---------------------------------------------------------- export
 
     /// Export a resolved session type into the bank, preserving sharing:
-    /// O(DAG) in the store representation. Semantics identical to
-    /// [`SchemeStore::export`](crate::SchemeStore::export).
+    /// O(DAG) in the store representation. Cells are read through
+    /// ([`Store::resolve`]); unsolved flexible variables export under
+    /// their stable fresh names (open schemes — the service grounds them
+    /// before exporting, so its schemes are closed).
     pub fn export(&self, store: &mut Store, t: TypeId) -> SchemeId {
         let mut binders: Vec<TyVar> = Vec::new();
+        // Memo for *scope-closed* subtrees (no reference to a binder
+        // outside the subtree) — their de Bruijn encoding is
+        // position-independent, so they are safe to share across scopes
+        // and depths. Keyed by *resolved* TypeId.
         let mut memo: FxHashMap<TypeId, SchemeId> = FxHashMap::default();
         self.export_go(store, t, &mut binders, &mut memo).0
     }
 
-    /// Returns `(id, lowest_ref)` — see `SchemeStore::export_go`; the
-    /// scope-closed memoisation rule is identical.
+    /// Returns `(id, lowest_ref)`: `lowest_ref` is the smallest binder-
+    /// stack index the subtree references, `None` if it references no
+    /// binder in scope. Only scope-closed conversions are memoised — a
+    /// subtree referencing an enclosing binder re-indexes under a
+    /// different depth, but a *self-contained* quantified subtree (the
+    /// shared-`∀` case) is closed and memoises fine.
     fn export_go(
         &self,
         store: &mut Store,
@@ -340,6 +395,8 @@ impl SchemeBank {
                 (id, lowest)
             }
             Shape::Forall(v, body) => {
+                // The new binder sits at index `depth`; a body reference
+                // below it is a reference to an *outer* binder.
                 let depth = binders.len();
                 binders.push(v);
                 let (b, low) = self.export_go(store, body, binders, memo);
@@ -392,16 +449,23 @@ impl SchemeBank {
 
     // ---------------------------------------------------------- import
 
-    /// Layer a scheme back into a session [`Store`] in O(DAG) — a
-    /// dependency's cached scheme entering `Γ`. Binders are freshened
-    /// and their hints recorded, exactly as
-    /// [`SchemeStore::intern_into`](crate::SchemeStore::intern_into).
+    /// Layer a scheme back into a session [`Store`] — a dependency's
+    /// cached scheme entering `Γ` — in O(DAG), with no `core::Type` tree
+    /// in between. Binders are freshened (the store's global-uniqueness
+    /// invariant) and their hints recorded so a later zonk restores
+    /// source names.
     pub fn intern_into(&self, store: &mut Store, id: SchemeId) -> TypeId {
         let mut binders: Vec<TypeId> = Vec::new();
         let mut memo: FxHashMap<SchemeId, TypeId> = FxHashMap::default();
         self.intern_into_go(store, id, &mut binders, &mut memo).0
     }
 
+    /// Returns `(t, deepest)`: `deepest` is the largest de Bruijn index
+    /// the subtree references *relative to its own position*, `None` if
+    /// it references no enclosing binder. Scope-closed subtrees —
+    /// including self-contained quantified nodes — are memoised, so a
+    /// shared `∀` in the scheme DAG becomes one shared (one-binder)
+    /// node in the store instead of a freshened copy per occurrence.
     fn intern_into_go(
         &self,
         store: &mut Store,
@@ -446,6 +510,8 @@ impl SchemeBank {
                 let (b, d) = self.intern_into_go(store, body, binders, memo);
                 binders.pop();
                 let t = store.forall(fresh, b);
+                // Index 0 is this node's own binder; anything deeper
+                // still escapes (shifted by one).
                 let escaping = d.and_then(|m| m.checked_sub(1));
                 if escaping.is_none() {
                     memo.insert(id, t);
@@ -459,6 +525,10 @@ impl SchemeBank {
 
     /// Materialise the scheme as a `core::Type` tree — the on-demand
     /// zonk, exponential in the worst case (the tree *is* that big).
+    ///
+    /// Binders come out as fresh invented variables, which the printer
+    /// letters canonically — the rendering is a function of the α-class,
+    /// **deliberately ignoring binder-name hints** (see the module docs).
     pub fn to_type(&self, id: SchemeId) -> Type {
         // ord: Relaxed — statistic bump; RMW atomicity is all we need.
         self.renders.fetch_add(1, Ordering::Relaxed);
@@ -487,11 +557,18 @@ impl SchemeBank {
         }
     }
 
-    /// The canonical rendering of the scheme, memoised per id — byte
-    /// identical to [`SchemeStore::pretty`](crate::SchemeStore::pretty)
-    /// (binders lettered canonically in traversal order; hints never
-    /// consulted). Two threads racing on a cold id both compute the
-    /// same deterministic string; last insert wins harmlessly.
+    /// The canonical rendering of the scheme, memoised per id.
+    ///
+    /// Binders are lettered `a, b, c, …` in traversal order (skipping
+    /// the scheme's free named variables), never taken from exporter
+    /// hints — so every binding that shares an id displays identically.
+    /// Schemes whose free variables are all source-named (everything the
+    /// service stores: grounded) are rendered by a direct DAG walk with
+    /// no intermediate `Type` tree; schemes with invented free variables
+    /// fall back to `to_type` + the lettering printer (they need
+    /// whole-type naming). Both paths produce byte-identical text. Two
+    /// threads racing on a cold id both compute the same deterministic
+    /// string; last insert wins harmlessly.
     pub fn pretty(&self, id: SchemeId) -> Arc<str> {
         let s_idx = shard_of(id);
         if let Some(s) = self.read(s_idx).rendered.get(&id) {
@@ -502,13 +579,7 @@ impl SchemeBank {
         // ord: Relaxed — statistic bump; RMW atomicity is all we need.
         self.renders.fetch_add(1, Ordering::Relaxed);
         let s: Arc<str> = if self.directly_renderable(id) {
-            let mut taken = FxHashSet::default();
-            for v in self.free_vars(id) {
-                if let Some(sym) = v.symbol() {
-                    taken.insert(sym);
-                }
-            }
-            let mut supply = freezeml_core::types::letter_supply(taken);
+            let mut supply = self.letters(id);
             let mut out = String::new();
             self.render_go(id, 1, &mut Vec::new(), &mut supply, &mut out);
             Arc::from(out)
@@ -789,24 +860,36 @@ impl SchemeBank {
         }
     }
 
-    /// Collision-free display names for `count` grounded residuals —
-    /// same canonical-supply contract as
-    /// [`SchemeStore::defaulted_names`](crate::SchemeStore::defaulted_names).
+    /// Collision-free display names for `count` residual variables that
+    /// were grounded out of the scheme `id` (value-restriction
+    /// defaulting): consecutive letters from the canonical supply,
+    /// *after* the letters the scheme's rendering assigns to its binders
+    /// and excluding its free named variables. Every engine route to a
+    /// verdict (`core`, `uf`, differential `both`) names residuals
+    /// through this one function, so the reports are identical by
+    /// construction and can never collide with a name the rendered
+    /// scheme itself displays.
     pub fn defaulted_names(&self, id: SchemeId, count: usize) -> Vec<String> {
         if count == 0 {
             return Vec::new();
         }
-        let mut taken = FxHashSet::default();
-        for v in self.free_vars(id) {
-            if let Some(sym) = v.symbol() {
-                taken.insert(sym);
-            }
-        }
-        let mut supply = freezeml_core::types::letter_supply(taken);
+        let mut supply = self.letters(id);
         self.skip_binder_letters(id, &mut supply);
         (0..count)
             .map(|_| supply.next().expect("infinite supply").as_str().to_string())
             .collect()
+    }
+
+    /// The canonical letter supply for `id`: `a, b, c, …`, skipping the
+    /// scheme's free named variables. The direct renderer draws binder
+    /// names from it, and [`Self::defaulted_names`] draws after them.
+    fn letters(&self, id: SchemeId) -> impl Iterator<Item = Symbol> {
+        let taken = self
+            .free_vars(id)
+            .iter()
+            .filter_map(|v| v.symbol())
+            .collect();
+        freezeml_core::types::letter_supply(taken)
     }
 
     fn skip_binder_letters(&self, id: SchemeId, supply: &mut impl Iterator<Item = Symbol>) {
@@ -911,6 +994,17 @@ mod tests {
     }
 
     #[test]
+    fn core_interning_matches_export() {
+        let mut store = Store::new();
+        let ty = parse_type("forall a. (forall b. b -> a) -> List a").unwrap();
+        let tid = store.intern_type(&ty);
+        let bank = SchemeBank::new();
+        let exported = bank.export(&mut store, tid);
+        let imported = bank.intern_type(&ty);
+        assert_eq!(exported, imported);
+    }
+
+    #[test]
     fn pretty_memoises_and_matches_tree_printer() {
         let bank = SchemeBank::new();
         let sid = export_str(&bank, "forall a b. (a -> b) -> List a -> List b");
@@ -923,6 +1017,26 @@ mod tests {
     }
 
     #[test]
+    fn pretty_matches_display_and_memoises() {
+        for src in [
+            "forall a. a -> a",
+            "forall s. ST s Int",
+            "(forall a. a -> a) -> Int * Bool",
+            "Int * Bool * Int",
+            "List (forall a. a -> a)",
+        ] {
+            let bank = SchemeBank::new();
+            let sid = export_str(&bank, src);
+            let direct = bank.pretty(sid);
+            assert_eq!(&*direct, &bank.to_type(sid).to_string(), "{src}");
+            let before = bank.renders();
+            assert_eq!(bank.pretty(sid), direct);
+            assert_eq!(bank.renders(), before, "second pretty is a memo hit");
+            assert!(bank.render_hits() > 0);
+        }
+    }
+
+    #[test]
     fn pair_chain_exports_in_dag_size() {
         let mut store = Store::new();
         let mut t = store.int();
@@ -932,8 +1046,11 @@ mod tests {
         let bank = SchemeBank::new();
         let sid = bank.export(&mut store, t);
         assert_eq!(bank.len(), 13, "13 distinct nodes for n=12");
+        // …and the on-demand tree still agrees with eager zonking.
         let eager = store.zonk(t);
         assert!(bank.to_type(sid).alpha_eq(&eager));
+        // The memoised pretty renders it without building the tree.
+        assert_eq!(bank.pretty(sid).len(), eager.to_string().len());
     }
 
     #[test]
@@ -1042,6 +1159,10 @@ mod tests {
 
     #[test]
     fn shared_forall_subterms_stay_dag_sized_both_ways() {
+        // Regression: a quantified subterm shared across a pair chain is
+        // scope-closed, so export and re-import must memoise it — a
+        // "never memoise ∀" rule degenerates both directions to the full
+        // 2ⁿ tree (and import freshens a binder per visit).
         let mut store = Store::new();
         let id_ty = parse_type("forall a. a -> a").unwrap();
         let mut t = store.intern_type(&id_ty);
@@ -1054,5 +1175,24 @@ mod tests {
         let mut fresh = Store::new();
         let back = bank.intern_into(&mut fresh, sid);
         assert_eq!(fresh.children(back).len(), 2);
+        // A chain small enough to zonk round-trips to the same tree.
+        let mut small = Store::new();
+        let mut st = small.intern_type(&id_ty);
+        for _ in 0..3 {
+            st = small.con(TyCon::Prod, &[st, st]);
+        }
+        let ssid = bank.export(&mut small, st);
+        let mut small_fresh = Store::new();
+        let sback = bank.intern_into(&mut small_fresh, ssid);
+        let z = small_fresh.zonk(sback);
+        assert!(z.alpha_eq(&small.zonk(st)));
+    }
+
+    #[test]
+    fn free_vars_in_order() {
+        let bank = SchemeBank::new();
+        let sid = export_str(&bank, "b -> a -> b");
+        let names: Vec<String> = bank.free_vars(sid).iter().map(|v| v.to_string()).collect();
+        assert_eq!(names, ["b", "a"]);
     }
 }

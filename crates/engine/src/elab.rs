@@ -6,7 +6,7 @@
 //! `TypeId`s into a mutable store, resolved through cells at the moment
 //! they are inspected. Evidence therefore comes in two stages:
 //!
-//! * during inference, the engine records an [`Ev`] skeleton mirroring
+//! * during inference, the engine records an `Ev` skeleton mirroring
 //!   the term with explicit `Λ`/type-application structure at every
 //!   generalisation and instantiation point, embedding **`TypeId`s, not
 //!   types**: an instantiation recorded while solving is just the fresh
@@ -17,10 +17,11 @@
 //! * after inference, residual flexible variables are grounded to `Int`
 //!   (the same defaulting the `core` driver's `default_residuals`
 //!   performs) and each embedded `TypeId` is materialised **through a
-//!   [`SchemeStore`]**: export is O(DAG) and α-canonical, so the tree
-//!   expansion is memoised per [`SchemeId`] — every α-equal type across
-//!   the whole evidence term is expanded once, and no zonk runs during
-//!   inference itself.
+//!   per-call [`SchemeBank`]**: export is O(DAG) and α-canonical, so the
+//!   tree expansion is memoised per [`SchemeId`] — every α-equal type
+//!   across the whole evidence term is expanded once, and no zonk runs
+//!   during inference itself. The bank is private to the call, never a
+//!   shared one, so elaboration leaves no nodes or render counts behind.
 //!
 //! The output is a [`freezeml_systemf::FTerm`]; the soundness oracle
 //! (`freezeml_systemf::typecheck`) accepts it at a type α-equivalent to
@@ -28,7 +29,7 @@
 //! corpus row, and property-generated term by the `elaborate`
 //! differential mode in `freezeml_conformance`.
 
-use crate::scheme::{SchemeId, SchemeStore};
+use crate::bank::{SchemeBank, SchemeId};
 use crate::store::{Store, TypeId};
 use freezeml_core::{Lit, TyVar, Type, Var};
 use freezeml_systemf::{admin_reduce, FTerm};
@@ -209,18 +210,18 @@ pub(crate) fn ground_residuals(store: &mut Store, ev: &Ev, root: TypeId) {
 }
 
 /// Materialise the evidence as an [`FTerm`], reading every `TypeId`
-/// through the store via a scheme-store embedding: each type is exported
+/// through the store via a per-call scheme bank: each type is exported
 /// O(DAG) to its α-canonical [`SchemeId`] and expanded to a tree once
 /// per id, no matter how many evidence positions share it.
 pub(crate) fn materialise(store: &mut Store, ev: &Ev) -> FTerm {
-    let mut bank = SchemeStore::new();
+    let bank = SchemeBank::new();
     let mut memo: FxHashMap<SchemeId, Type> = FxHashMap::default();
-    to_fterm(store, &mut bank, &mut memo, ev)
+    to_fterm(store, &bank, &mut memo, ev)
 }
 
 fn embed(
     store: &mut Store,
-    bank: &mut SchemeStore,
+    bank: &SchemeBank,
     memo: &mut FxHashMap<SchemeId, Type>,
     t: TypeId,
 ) -> Type {
@@ -235,7 +236,7 @@ fn embed(
 
 fn to_fterm(
     store: &mut Store,
-    bank: &mut SchemeStore,
+    bank: &SchemeBank,
     memo: &mut FxHashMap<SchemeId, Type>,
     ev: &Ev,
 ) -> FTerm {
@@ -409,25 +410,5 @@ mod tests {
         assert!(session.elaborate(&bad).is_err());
         let term = parse_term("id 41").unwrap();
         assert_eq!(session.elaborate(&term).unwrap().ty.to_string(), "Int");
-    }
-
-    #[test]
-    fn elaborate_with_layers_extra_bindings() {
-        let mut session = crate::Session::new(&env(), &Options::default()).unwrap();
-        let f = (
-            freezeml_core::Var::named("f"),
-            parse_type("forall a. a -> a").unwrap(),
-        );
-        let term = parse_term("poly ~f").unwrap();
-        let e = session
-            .elaborate_with(std::slice::from_ref(&f), &term)
-            .unwrap();
-        assert_eq!(e.ty.to_string(), "Int * Bool");
-        let mut g = env();
-        g.push("f", parse_type("forall a. a -> a").unwrap());
-        let fty = typecheck(&KindEnv::new(), &g, &e.term).unwrap();
-        assert!(fty.alpha_eq(&e.ty));
-        // The extra binding is gone again afterwards.
-        assert!(session.elaborate(&term).is_err());
     }
 }

@@ -22,9 +22,8 @@
 //! The result is zonked back to a `core::Type`, so callers (conformance
 //! harness, pretty-printing, downstream crates) consume it unchanged.
 
-use crate::bank::SchemeBank;
+use crate::bank::{SchemeBank, SchemeId};
 use crate::elab::{BuildEv, Elab, EvBuild, NoEv};
-use crate::scheme::SchemeId;
 use crate::store::{Node, Shape, Store, TypeId, VarId};
 use crate::unify::unify;
 use freezeml_core::infer::ProgramError;
@@ -44,7 +43,7 @@ pub struct InferOutput {
 }
 
 /// The result of a zonk-free inference run: the principal type exported
-/// into a [`SchemeStore`] as a DAG, never expanded to a tree. Residual
+/// into a [`SchemeBank`] as a DAG, never expanded to a tree. Residual
 /// monomorphic variables are grounded to `Int` (the REPL's defaulting),
 /// so the scheme is closed and its id is an α-class.
 #[derive(Clone, Debug)]
@@ -434,7 +433,7 @@ impl Session {
         let (ty_id, ()) = result?;
         // Ground the residual monomorphic variables to Int; their display
         // names come from the exported scheme's own supply
-        // ([`SchemeStore::defaulted_names`]), shared with the oracle
+        // (`SchemeBank::defaulted_names`), shared with the oracle
         // paths so every engine reports identical, collision-free names.
         let residual = self.store.free_flex(ty_id);
         let grounded = residual.len();
@@ -495,42 +494,6 @@ impl Session {
     pub fn elaborate(&mut self, term: &Term) -> Result<Elab, TypeError> {
         freezeml_core::scope::well_scoped(&KindEnv::new(), term, &self.opts)?;
         self.store.reset_to(&self.base);
-        self.elaborate_reclaimed(term)
-    }
-
-    /// Elaboration under `Γ, extra` — the per-call layered form for
-    /// callers holding a long-lived session (extras are
-    /// formation-checked and reclaimed with the rest of the term state
-    /// on the next call). The service's `elaborate` endpoint currently
-    /// goes through the one-shot [`elaborate_term`] instead (it needs
-    /// the merged `TypeEnv` for the System F oracle anyway, and the
-    /// endpoint is a protocol-boundary operation, not the check hot
-    /// path).
-    ///
-    /// # Errors
-    ///
-    /// The same classes as [`Session::infer_with`].
-    pub fn elaborate_with(
-        &mut self,
-        extra: &[(Var, Type)],
-        term: &Term,
-    ) -> Result<Elab, TypeError> {
-        freezeml_core::scope::well_scoped(&KindEnv::new(), term, &self.opts)?;
-        let extra_env: TypeEnv = extra.iter().cloned().collect();
-        freezeml_core::kinding::check_env(&KindEnv::new(), &RefinedEnv::new(), &extra_env)?;
-        self.store.reset_to(&self.base);
-        let depth = self.gamma.len();
-        for (x, ty) in extra {
-            let id = self.store.intern_type(ty);
-            self.gamma.push((*x, id));
-        }
-        let out = self.elaborate_reclaimed(term);
-        self.gamma.truncate(depth);
-        out
-    }
-
-    /// Elaboration on the already-reclaimed store.
-    fn elaborate_reclaimed(&mut self, term: &Term) -> Result<Elab, TypeError> {
         let depth = self.gamma.len();
         let opts = self.opts;
         let mut cx = InferCtx {
@@ -584,6 +547,39 @@ fn env_fingerprint(gamma: &TypeEnv, opts: &Options) -> u64 {
     h.finish()
 }
 
+/// Run `f` on this thread's cached session for `(gamma, opts)`, building
+/// (and formation-checking) one on a miss. The entry moves to the
+/// most-recently-used end; beyond [`SESSION_CACHE_CAP`] the least
+/// recently used is evicted.
+fn with_cached_session<T>(
+    gamma: &TypeEnv,
+    opts: &Options,
+    f: impl FnOnce(&mut Session) -> Result<T, TypeError>,
+) -> Result<T, TypeError> {
+    let fp = env_fingerprint(gamma, opts);
+    SESSIONS.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        let hit = cache
+            .iter()
+            .position(|c| c.fp == fp && c.opts == *opts && c.env == *gamma);
+        let mut entry = match hit {
+            Some(i) => cache.remove(i),
+            None => CachedSession {
+                fp,
+                env: gamma.clone(),
+                opts: *opts,
+                session: Session::new(gamma, opts)?,
+            },
+        };
+        let out = f(&mut entry.session);
+        cache.push(entry); // most-recently-used at the back
+        if cache.len() > SESSION_CACHE_CAP {
+            cache.remove(0);
+        }
+        out
+    })
+}
+
 /// Infer the type of a closed-context term on a union-find store.
 /// Mirrors `core::infer::infer_term`: checks well-scopedness and
 /// environment formation first, then runs inference and zonks.
@@ -604,28 +600,7 @@ pub fn infer_term(gamma: &TypeEnv, term: &Term, opts: &Options) -> Result<InferO
     // Scope-check before environment formation — the order `core`'s
     // driver uses, so a term that fails both reports the same error.
     freezeml_core::scope::well_scoped(&KindEnv::new(), term, opts)?;
-    let fp = env_fingerprint(gamma, opts);
-    SESSIONS.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let hit = cache
-            .iter()
-            .position(|c| c.fp == fp && c.opts == *opts && c.env == *gamma);
-        let mut entry = match hit {
-            Some(i) => cache.remove(i),
-            None => CachedSession {
-                fp,
-                env: gamma.clone(),
-                opts: *opts,
-                session: Session::new(gamma, opts)?,
-            },
-        };
-        let out = entry.session.infer_scoped(term);
-        cache.push(entry); // most-recently-used at the back
-        if cache.len() > SESSION_CACHE_CAP {
-            cache.remove(0);
-        }
-        out
-    })
+    with_cached_session(gamma, opts, |session| session.infer_scoped(term))
 }
 
 /// Elaborate a closed-context term on the union-find engine: the
@@ -637,28 +612,7 @@ pub fn infer_term(gamma: &TypeEnv, term: &Term, opts: &Options) -> Result<InferO
 /// The same [`TypeError`] classes as [`infer_term`].
 pub fn elaborate_term(gamma: &TypeEnv, term: &Term, opts: &Options) -> Result<Elab, TypeError> {
     freezeml_core::scope::well_scoped(&KindEnv::new(), term, opts)?;
-    let fp = env_fingerprint(gamma, opts);
-    SESSIONS.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let hit = cache
-            .iter()
-            .position(|c| c.fp == fp && c.opts == *opts && c.env == *gamma);
-        let mut entry = match hit {
-            Some(i) => cache.remove(i),
-            None => CachedSession {
-                fp,
-                env: gamma.clone(),
-                opts: *opts,
-                session: Session::new(gamma, opts)?,
-            },
-        };
-        let out = entry.session.elaborate(term);
-        cache.push(entry); // most-recently-used at the back
-        if cache.len() > SESSION_CACHE_CAP {
-            cache.remove(0);
-        }
-        out
-    })
+    with_cached_session(gamma, opts, |session| session.elaborate(term))
 }
 
 /// Parse and infer on the union-find engine, returning the canonicalised
@@ -948,6 +902,30 @@ mod tests {
         // Ill-formed extras are rejected by environment formation.
         let bad = (Var::named("g"), Type::Var(freezeml_core::TyVar::fresh()));
         assert!(session.infer_with(&[bad], &term).is_err());
+    }
+
+    #[test]
+    fn one_shot_entry_points_share_one_lru_of_sessions() {
+        // On a thread of its own, so the per-thread cache starts empty.
+        std::thread::spawn(|| {
+            let fps = || SESSIONS.with(|c| c.borrow().iter().map(|e| e.fp).collect::<Vec<_>>());
+            let opts = Options::default();
+            let prelude = env_fingerprint(&env(), &opts);
+            let term = freezeml_core::parse_term("poly ~id").unwrap();
+            infer_term(&env(), &term, &opts).unwrap();
+            let e = elaborate_term(&env(), &term, &opts).unwrap();
+            assert_eq!(e.ty.to_string(), "Int * Bool");
+            assert_eq!(fps(), [prelude], "one entry serves both entry points");
+            for k in 0..=SESSION_CACHE_CAP {
+                let mut g = env();
+                g.push_str(&format!("x{k}"), "Int").unwrap();
+                infer_term(&g, &term, &opts).unwrap();
+            }
+            assert_eq!(fps().len(), SESSION_CACHE_CAP);
+            assert!(!fps().contains(&prelude), "least recently used goes first");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   cells for flexible variables carrying the paper's `•`/`⋆` kind,
 //!   Rémy-style generalisation levels, path-compressed resolution, and a
 //!   trail journalling every cell write;
-//! * [`unify`] — Figure 15 with demotion as an O(α) cell update and the
-//!   skolem-escape assertion checked against the trail;
+//! * [`unify`](mod@unify) — Figure 15 with demotion as an O(α) cell
+//!   update and the skolem-escape assertion checked against the trail;
 //! * [`infer`] — Figure 16 for the full surface language (freeze `~x`,
 //!   generalise `$M`, instantiate `M@`, `let`, ascriptions) with
 //!   level-based generalisation, plus a zonk pass back to [`Type`] so
@@ -47,19 +47,17 @@ pub mod bank;
 pub mod differential;
 pub mod elab;
 pub mod infer;
-pub mod scheme;
 pub mod snapshot;
 pub mod store;
 pub mod sync;
 pub mod unify;
 
-pub use bank::SchemeBank;
+pub use bank::{SchemeBank, SchemeId};
 pub use differential::{class_of, class_of_program, compare_program, Disagreement, ErrorClass};
 pub use elab::Elab;
 pub use infer::{
     check_typing, elaborate_term, infer_program, infer_term, InferOutput, SchemeOutput, Session,
 };
-pub use scheme::{SchemeId, SchemeStore};
 pub use snapshot::{AbsorbedSnapshot, PortableCon, PortableNode, SnapshotError};
 pub use store::{Node, Shape, Store, TypeId, VarId};
 pub use unify::unify;

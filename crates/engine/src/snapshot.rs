@@ -17,8 +17,8 @@
 //!   node that reaches one returns `None` and the caller skips the
 //!   cache entry rooted there. Persisted schemes are exactly the
 //!   *presentable* ones: named or closed.
-//! * **Absorb is total.** [`SchemeBank::absorb_snapshot`] re-interns
-//!   structurally, so loaded ids are bank-native α-classes; it
+//! * **Absorb is total.** [`crate::SchemeBank::absorb_snapshot`]
+//!   re-interns structurally, so loaded ids are bank-native α-classes; it
 //!   validates the topological child order and tracks each node's open
 //!   de-Bruijn depth, and [`AbsorbedSnapshot::closed`] only hands out
 //!   roots that are well-scoped. Arbitrarily corrupted input produces

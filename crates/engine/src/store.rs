@@ -186,7 +186,7 @@ pub struct StoreMark {
 
 /// Next probe position after a fingerprint collision (deterministic, so
 /// [`Store::reset_to`] can retrace an entry's probe chain). Shared with
-/// the scheme store's interner — one probe protocol, one constant.
+/// the scheme bank's interner — one probe protocol, one constant.
 pub(crate) fn reprobe(h: u64) -> u64 {
     h.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15
 }
@@ -350,7 +350,7 @@ impl Store {
     /// A globally fresh `∀` binder, optionally recording the source name
     /// it stands for so zonking restores it (used when layering cached
     /// schemes back into the store — see
-    /// [`SchemeStore::intern_into`](crate::scheme::SchemeStore::intern_into)).
+    /// [`SchemeBank::intern_into`](crate::bank::SchemeBank::intern_into)).
     pub fn fresh_binder(&mut self, src: Option<TyVar>) -> TyVar {
         let fresh = TyVar::fresh();
         if let Some(src) = src {
@@ -639,7 +639,7 @@ impl Store {
     /// This re-expands a DAG-shared type into a tree — worst case
     /// exponential in the store representation (the pair chain). It is
     /// the *protocol boundary* operation: inference itself never calls
-    /// it, and the scheme pipeline ([`crate::scheme`]) exports results
+    /// it, and the scheme pipeline ([`crate::bank`]) exports results
     /// without it.
     pub fn zonk(&mut self, t: TypeId) -> Type {
         let t = self.resolve(t);

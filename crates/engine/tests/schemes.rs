@@ -1,5 +1,5 @@
-//! Property (PR 4 satellite): on-demand zonk through the scheme store
-//! is α-equivalent to the old eager zonk.
+//! Property: on-demand zonk through the scheme bank is α-equivalent
+//! to the old eager zonk.
 //!
 //! The zonk-free pipeline exports inference results as [`SchemeId`]s
 //! (de Bruijn hash-consed DAGs) and materialises a `core::Type` tree

@@ -30,7 +30,7 @@
 //! scheduling bug.
 
 use crate::graph::{condense, Condensation};
-use crate::hash::{hash_str, Fnv, U64Map};
+use crate::hash::{hash_str, Hasher64, U64Map};
 use crate::sync::Arc;
 use freezeml_core::{
     Decl, InstantiationStrategy, Options, ParseError, Program, Span, Symbol, Term, Type, Var,
@@ -85,11 +85,11 @@ impl EngineSel {
 pub enum Outcome {
     /// Well typed at this (closed, canonical) scheme.
     Typed {
-        /// The binding's scheme in the service's shared scheme store —
+        /// The binding's scheme in the service's shared scheme bank —
         /// an α-class id the Merkle cache keys directly; the `core::Type`
         /// tree is materialised only on demand at the protocol boundary.
         id: freezeml_engine::SchemeId,
-        /// The canonical rendering, memoised per id in the scheme store
+        /// The canonical rendering, memoised per id in the scheme bank
         /// (shared `Arc`, so cache hits and `type-of` clone a pointer).
         scheme: crate::sync::Arc<str>,
         /// Residual monomorphic variables that were grounded to `Int`
@@ -357,7 +357,7 @@ impl Frontend {
 /// options or engines can share one hub without serving each other's
 /// reports.
 pub fn doc_key(src: &str, opts: &Options, engine: EngineSel) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Hasher64::new();
     h.write_u64(u64::from(opts.value_restriction));
     h.write_u64(match opts.instantiation {
         InstantiationStrategy::Variable => 0,
@@ -378,7 +378,7 @@ pub fn doc_key(src: &str, opts: &Options, engine: EngineSel) -> u64 {
 /// with the other's — making a false hit require a simultaneous
 /// 128-bit collision.
 pub fn doc_verify(src: &str) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Hasher64::new();
     h.write_u64(0xD0C5_ECC0_5A17_ED00);
     h.write_str(src);
     h.finish()
@@ -586,7 +586,7 @@ fn build_analysis(
     // Configuration fingerprint, mixed into every key: the same binding
     // under a different mode, engine, or prelude is a different cache
     // entry.
-    let mut cfg = Fnv::new();
+    let mut cfg = Hasher64::new();
     cfg.write_u64(u64::from(opts.value_restriction));
     cfg.write_u64(match opts.instantiation {
         InstantiationStrategy::Variable => 0,
@@ -602,7 +602,7 @@ fn build_analysis(
     // not two).
     let mut keys = vec![0u64; n];
     for i in 0..n {
-        let mut h = Fnv::new();
+        let mut h = Hasher64::new();
         h.write_u64(cfg);
         h.write_u64(content[i]);
         for &dep in &deps[i] {

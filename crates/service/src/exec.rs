@@ -241,7 +241,7 @@ fn render(r: &Result<Type, freezeml_core::TypeError>) -> String {
 
 /// Ground a successful tree-engine scheme's residual monomorphic
 /// variables to `Int` (value restriction) and intern it into the shared
-/// scheme store (α-canonical by construction), or classify the error.
+/// scheme bank (α-canonical by construction), or classify the error.
 /// The oracle
 /// engines' outcomes land in the same α-canonical scheme space as the
 /// union-find engine's, so a scheme produced under `ENGINE=both` and one
@@ -347,7 +347,7 @@ impl Executor {
     /// verdicts are written back to the shared cache (disagreements and
     /// internal errors excepted — those are bugs and must never be
     /// served warm). Worker panics are contained per binding
-    /// ([`check_contained`]); the executor and the hub survive them.
+    /// (`check_contained`); the executor and the hub survive them.
     pub fn run(&mut self, a: &Analysis, shared: &Shared) -> CheckReport {
         self.run_traced(a, shared, TraceCtx::default())
     }

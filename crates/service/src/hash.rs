@@ -8,7 +8,7 @@
 //! measurably too slow. Each word is fully avalanched before the next
 //! is absorbed, which keeps collisions over thousands of similar
 //! documents at the generic n²/2⁶⁵ birthday bound; the cheaper
-//! FxHash-style step does *not* (see [`Hasher64::mix`] and the
+//! FxHash-style step does *not* (see `Hasher64::mix` and the
 //! `adjacent_word_edits_do_not_cancel` regression test). The parse
 //! cache additionally guards with a full slice comparison, and the
 //! document-report cache with an independently seeded second digest.
@@ -30,9 +30,6 @@ impl Default for Hasher64 {
         Hasher64(0x2545_f491_4f6c_dd1d)
     }
 }
-
-/// Backwards-compatible alias (the original implementation was FNV-1a).
-pub type Fnv = Hasher64;
 
 impl Hasher64 {
     /// A fresh hasher.

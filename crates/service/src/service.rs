@@ -29,7 +29,7 @@ use crate::persist::{self, LoadOutcome, PersistConfig, SaveOutcome};
 use crate::shared::Shared;
 use crate::sync::Arc;
 use freezeml_core::{Options, ParseError};
-use freezeml_obs::{next_session_id, TraceCtx};
+use freezeml_obs::{next_session_id, Registry, TraceCtx};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -136,6 +136,17 @@ fn report_cacheable(report: &CheckReport) -> bool {
     })
 }
 
+/// Fold a produced or served report into the hub's metrics registry —
+/// every report a client sees is counted exactly once, whether it came
+/// off the executor, the document-report cache, or a persisted snapshot.
+fn note_report(m: &Registry, report: &CheckReport) {
+    m.bindings.add(report.bindings.len() as u64);
+    m.rechecked.add(report.rechecked as u64);
+    m.reused.add(report.reused as u64);
+    m.blocked.add(report.blocked as u64);
+    m.waves.add(report.waves as u64);
+}
+
 /// The program-checking service. See the module docs.
 pub struct Service {
     cfg: ServiceConfig,
@@ -211,19 +222,6 @@ impl Service {
     /// [`ServiceError::Deadline`] when it passes.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Fold a produced or served report into the hub's metrics
-    /// registry — every report a client sees is counted exactly once,
-    /// whether it came off the executor, the document-report cache, or
-    /// a persisted snapshot.
-    fn note_report(&self, report: &CheckReport) {
-        let m = self.shared.metrics();
-        m.bindings.add(report.bindings.len() as u64);
-        m.rechecked.add(report.rechecked as u64);
-        m.reused.add(report.reused as u64);
-        m.blocked.add(report.blocked as u64);
-        m.waves.add(report.waves as u64);
     }
 
     /// Attach an on-disk cache directory: load any valid snapshot into
@@ -303,7 +301,7 @@ impl Service {
             self.shared.doc_report(dkey, doc_verify(text))
         };
         if let Some(report) = probed {
-            self.note_report(&report);
+            note_report(self.shared.metrics(), &report);
             let entry = self.docs.entry(doc.to_string()).or_insert(Document {
                 text: String::new(),
                 analysis: OnceCell::new(),
@@ -402,12 +400,7 @@ impl Service {
             self.shared.doc_report(dkey, dverify)
         };
         if let Some(report) = probed {
-            let m = self.shared.metrics();
-            m.bindings.add(report.bindings.len() as u64);
-            m.rechecked.add(report.rechecked as u64);
-            m.reused.add(report.reused as u64);
-            m.blocked.add(report.blocked as u64);
-            m.waves.add(report.waves as u64);
+            note_report(self.shared.metrics(), &report);
             entry.report = Some(report);
             // lint: allow(unwrap) — stored on the line above
             return Ok(entry.report.as_deref().expect("just stored"));
@@ -419,13 +412,7 @@ impl Service {
                     .exec
                     .run_budgeted(a, &self.shared, self.ctx, self.deadline)
                     .map_err(|_| ServiceError::Deadline)?;
-                // (inline `note_report`: `entry` still borrows `docs`)
-                let m = self.shared.metrics();
-                m.bindings.add(report.bindings.len() as u64);
-                m.rechecked.add(report.rechecked as u64);
-                m.reused.add(report.reused as u64);
-                m.blocked.add(report.blocked as u64);
-                m.waves.add(report.waves as u64);
+                note_report(self.shared.metrics(), &report);
                 if report_cacheable(&report) {
                     self.shared
                         .record_doc_report(dkey, dverify, Arc::new(warmed(&report)));
@@ -664,7 +651,7 @@ mod tests {
         // Regression: SchemeIds are α-classes shared service-wide, so
         // the rendering must be canonical — one binding's annotation
         // names must never leak into another binding's output through
-        // the shared scheme store's render memo.
+        // the shared scheme bank's render memo.
         let mut s = svc(EngineSel::Uf);
         s.open("a", "let g = fun (x : forall z. z -> z) -> x;;\n")
             .unwrap();
@@ -713,6 +700,24 @@ mod tests {
             s.elaborate("nope", "f"),
             Err(ServiceError::UnknownDoc(_))
         ));
+    }
+
+    #[test]
+    fn elaborate_materialises_outside_the_hub_bank() {
+        // Elaboration exports its evidence types through a bank of its
+        // own: serving an image adds no node to the hub's bank, and
+        // renders nothing there for a binding without dependencies.
+        let mut s = svc(EngineSel::Both);
+        s.open(
+            "d",
+            "#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n",
+        )
+        .unwrap();
+        let (nodes, renders) = (s.scheme_nodes(), s.scheme_renders());
+        s.elaborate("d", "f").unwrap().unwrap();
+        assert_eq!((s.scheme_nodes(), s.scheme_renders()), (nodes, renders));
+        s.elaborate("d", "p").unwrap().unwrap();
+        assert_eq!(s.scheme_nodes(), nodes);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! inference worker must not take down the service. Pre-PR-6, the
 //! executor `join().expect(…)`-ed its worker threads, so one panic
 //! anywhere in a check propagated out of `Service::check`, tore down
-//! the session, and (with the old global `Mutex<SchemeStore>`) poisoned
-//! the scheme store for every *other* session sharing it. Now panics
-//! are caught at the wave boundary, the binding is reported as an
+//! the session, and (with the old single global scheme-arena mutex)
+//! poisoned the scheme space for every *other* session sharing it. Now
+//! panics are caught at the wave boundary, the binding is reported as an
 //! `Internal` error, the worker's session state is discarded, and the
 //! hub keeps answering.
 //!
@@ -113,19 +113,21 @@ fn a_panicking_binding_is_an_internal_error_not_a_crash() {
         .collect();
     let report = svc.open("m", &text).expect("contained again");
     assert_eq!(internal_errors(report).len(), 1);
-    assert_eq!(
-        report
-            .bindings
-            .iter()
-            .filter(|b| b.outcome.is_typed())
-            .count(),
-        12
-    );
+    // Which binding the panic lands on depends on which worker reaches
+    // the failpoint first, so ask about one that was not hit.
+    let typed: Vec<&str> = report
+        .bindings
+        .iter()
+        .filter(|b| b.outcome.is_typed())
+        .map(|b| b.name.as_str())
+        .collect();
+    assert_eq!(typed.len(), 12);
+    let request = format!(r#"{{"cmd":"type-of","doc":"m","name":"{}"}}"#, typed[0]);
     fault::clear();
 
     // ── The protocol layer reports the binding with status "error" and
     // the session object stays usable.
-    let r = handle_line(&mut svc, r#"{"cmd":"type-of","doc":"m","name":"x3"}"#);
+    let r = handle_line(&mut svc, &request);
     assert_eq!(r.get("result").and_then(Json::as_str), Some("Int"));
 
     // ── Over the socket, with the *shared* bank: a session that trips

@@ -8,15 +8,24 @@
 //!   normative ≥10× figure is measured by the release-profile
 //!   `service_throughput` bench (recorded in `EXPERIMENTS.md`: 11–12×
 //!   at 120–480 bindings); this debug-profile test guards a ≥6× floor —
-//!   debug constant factors compress the ratio (≈10× observed), and a
-//!   regression below 6× would mean the incremental path broke.
+//!   debug constant factors compress the ratio (7–11× observed on a
+//!   2-CPU host), and a regression below 6× would mean the incremental
+//!   path broke.
 
 use freezeml_core::Options;
 use freezeml_service::{analyze, EngineSel, GenProgram, Service, ServiceConfig};
-use std::time::Instant;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 const N: usize = 120;
 const SEED: u64 = 0xACCE;
+
+/// Runs this file's tests one at a time, so the timing test never shares
+/// the CPUs with its siblings' inference work.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn svc() -> Service {
     Service::new(ServiceConfig {
@@ -28,6 +37,7 @@ fn svc() -> Service {
 
 #[test]
 fn warm_edit_reinfers_exactly_the_dirty_cone() {
+    let _serial = serial();
     let gen = GenProgram::generate(N, SEED);
     let mut s = svc();
     let cold = s.open("t", &gen.text()).unwrap();
@@ -78,36 +88,30 @@ fn warm_edit_reinfers_exactly_the_dirty_cone() {
 
 #[test]
 fn warm_edit_is_dramatically_faster_than_cold() {
+    let _serial = serial();
     let gen = GenProgram::generate(N, SEED);
     let text = gen.text();
 
-    // Cold: a fresh service each round.
-    let rounds = 5;
-    let cold = (0..rounds)
-        .map(|_| {
-            let mut s = svc();
-            let t = Instant::now();
-            let r = s.open("t", &text).unwrap();
-            assert_eq!(r.rechecked, N);
-            t.elapsed()
-        })
-        .min()
-        .expect("rounds > 0");
-
-    // Warm: one service, a genuine single-binding edit per round.
+    // Each round times a cold check (a fresh service) and then a warm one
+    // (a genuine single-binding edit on one long-lived service), so a
+    // slow spell on the host slows both sides alike. Each keeps its best.
     let mut s = svc();
     s.open("t", &text).unwrap();
-    let warm = (0..rounds)
-        .map(|round| {
-            let next = gen.with_edit(N / 2, 100 + round).text();
-            let t = Instant::now();
-            let r = s.edit("t", &next).unwrap();
-            let dt = t.elapsed();
-            assert!(r.rechecked > 0 && r.rechecked < N / 4);
-            dt
-        })
-        .min()
-        .expect("rounds > 0");
+    let (mut cold, mut warm) = (Duration::MAX, Duration::MAX);
+    for round in 0..15 {
+        let mut fresh = svc();
+        let t = Instant::now();
+        let r = fresh.open("t", &text).unwrap();
+        cold = cold.min(t.elapsed());
+        assert_eq!(r.rechecked, N);
+        drop(fresh);
+
+        let next = gen.with_edit(N / 2, 100 + round).text();
+        let t = Instant::now();
+        let r = s.edit("t", &next).unwrap();
+        warm = warm.min(t.elapsed());
+        assert!(r.rechecked > 0 && r.rechecked < N / 4);
+    }
 
     assert!(
         warm * 6 <= cold,
@@ -118,6 +122,7 @@ fn warm_edit_is_dramatically_faster_than_cold() {
 
 #[test]
 fn parallel_and_serial_pools_agree_on_reports() {
+    let _serial = serial();
     let text = GenProgram::generate(60, 0xBEEF).text();
     let mut one = Service::new(ServiceConfig {
         opts: Options::default(),

@@ -67,7 +67,7 @@ mod passthrough {
         pub use std::sync::*;
     }
 
-    /// `std::thread`, verbatim, plus [`model_tid`].
+    /// `std::thread`, verbatim, plus [`model_tid`](thread::model_tid).
     pub mod thread {
         pub use std::thread::*;
 

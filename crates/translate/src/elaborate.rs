@@ -4,8 +4,9 @@
 //!
 //! The translation `C⟦−⟧` (Figure 11) now has two implementations:
 //!
-//! * the derivation-tree pipeline in [`crate::freeze_to_f`] — the
-//!   paper-literal path, consuming `core`'s [`TypedTerm`]s;
+//! * the derivation-tree pipeline in [`crate::freeze_to_f`](mod@crate::freeze_to_f)
+//!   — the paper-literal path, consuming `core`'s
+//!   [`TypedTerm`](freezeml_core::TypedTerm)s;
 //! * the engine-native pipeline in `freezeml_engine::elab` — evidence
 //!   recorded during union-find inference, `TypeId`s read through the
 //!   store, no derivation trees anywhere.

@@ -7,9 +7,9 @@
 //!   bucket counts), merged on read. One [`Registry`] per hub replaces
 //!   the scattered per-layer counters (`CheckReport`'s
 //!   rechecked/reused/waves, the scheme bank's render hits, the
-//!   persistence layer's evictions) as the single source of truth,
-//!   exposed live through the protocol's `stats` (JSON) and `metrics`
-//!   (Prometheus text) commands.
+//!   persistence layer's evictions) as the single source of truth. The
+//!   service crate's metric catalogue reads each field in one row and
+//!   renders both `stats` (JSON) and `metrics` (Prometheus text).
 //! * [`trace`] — span/event tracing to JSONL, modeled on the
 //!   elaboration layer's evidence-sink pattern: emit sites are generic
 //!   over a [`TraceSink`] whose `ENABLED` associated const lets the
@@ -36,8 +36,8 @@ pub mod sync;
 pub mod trace;
 
 pub use metrics::{
-    bucket_le_ns, Cmd, CmdMetrics, CmdSnapshot, Counter, HistSnapshot, Histogram, LabeledCounter,
-    Registry, Snapshot, BUCKETS,
+    bucket_le_ns, Cmd, CmdMetrics, Counter, HistSnapshot, Histogram, LabeledCounter, Registry,
+    BUCKETS,
 };
 pub use trace::{
     next_conn_id, next_session_id, JsonlSink, NoTrace, Record, Span, TraceCtx, TraceSink, Tracer,

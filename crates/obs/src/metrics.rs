@@ -23,7 +23,10 @@
 //! service layer previously scattered across `CheckReport`, the scheme
 //! bank, and the persistence layer: one instance lives on the hub
 //! (`Shared`) and every session, worker, and the checkpoint thread
-//! write into it.
+//! write into it. It has no snapshot type of its own: the service's
+//! metric catalogue (`freezeml_service::stats`) reads each field once
+//! per exposition and renders both the `stats` JSON and the Prometheus
+//! text from the same row.
 
 use crate::lockrank;
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -297,21 +300,10 @@ impl LabeledCounter {
         v.sort();
         v
     }
-
-    /// Sum over all labels.
-    pub fn total(&self) -> u64 {
-        self.slots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(_, n)| n)
-            .sum()
-    }
 }
 
 /// The protocol commands the registry tracks per-command latency and
-/// error counts for. `Invalid` absorbs lines that never resolved to a
-/// command (parse failures, unknown `cmd` values, junk fields).
+/// error counts for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cmd {
     Open,
@@ -323,6 +315,9 @@ pub enum Cmd {
     Stats,
     Metrics,
     Shutdown,
+    /// Every line that never resolved to a command: one the transport
+    /// rejected (over the size cap, or not UTF-8), one that is not
+    /// JSON, and one naming no known `cmd` or carrying junk fields.
     Invalid,
 }
 
@@ -375,9 +370,9 @@ pub struct CmdMetrics {
 
 /// The registry: every counter and histogram the serving stack exposes,
 /// one instance per hub. All members are individually lock-free (except
-/// the labeled cold-path failure counter); there is no registry-wide
-/// lock and no registration step — the metric set is closed and typed,
-/// so exposition code enumerates it statically.
+/// the labeled cold-path counters); there is no registry-wide lock and
+/// no registration step — the metric set is closed and typed, so the
+/// exposition catalogue names each field in one row.
 #[derive(Default)]
 pub struct Registry {
     commands: [CmdMetrics; Cmd::ALL.len()],
@@ -426,9 +421,6 @@ pub struct Registry {
     /// exhausted at a wave boundary, or the socket read/write timed
     /// out).
     pub deadline_exceeded: Counter,
-    /// 1 while the server is draining (stopped accepting, finishing
-    /// in-flight requests), else 0. A gauge, not a counter.
-    pub draining: AtomicU64,
     /// Fault-injection trips, by site (`FREEZEML_FAILPOINTS`).
     pub failpoint_trips: LabeledCounter,
     /// Session threads that died outside `catch_unwind` and were
@@ -457,102 +449,6 @@ impl Registry {
         }
         m.latency.record(latency);
     }
-
-    /// Merge everything into a point-in-time snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            commands: Cmd::ALL
-                .iter()
-                .map(|&c| {
-                    let m = self.cmd(c);
-                    CmdSnapshot {
-                        cmd: c,
-                        count: m.count.get(),
-                        errors: m.errors.get(),
-                        latency: m.latency.snapshot(),
-                    }
-                })
-                .collect(),
-            connections: self.connections.get(),
-            sessions: self.sessions.get(),
-            slow_requests: self.slow_requests.get(),
-            bindings: self.bindings.get(),
-            rechecked: self.rechecked.get(),
-            reused: self.reused.get(),
-            blocked: self.blocked.get(),
-            waves: self.waves.get(),
-            verdict_hits: self.verdict_hits.get(),
-            verdict_misses: self.verdict_misses.get(),
-            doc_hits: self.doc_hits.get(),
-            doc_misses: self.doc_misses.get(),
-            evictions: self.evictions.get(),
-            cache_loads: self.cache_loads.get(),
-            cache_load_failures: self.cache_load_failures.snapshot(),
-            checkpoints: self.checkpoints.get(),
-            checkpoint_failures: self.checkpoint_failures.get(),
-            checkpoint_bytes: self.checkpoint_bytes.get(),
-            checkpoint_duration: self.checkpoint_duration.snapshot(),
-            requests_shed: self.requests_shed.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            // ord: Relaxed — exposition-only gauge; the drain *control*
-            // flow reads `service::Shared::draining` (Acquire/Release),
-            // never this copy, so staleness here is cosmetic.
-            draining: self.draining.load(Ordering::Relaxed),
-            failpoint_trips: self.failpoint_trips.snapshot(),
-            session_thread_deaths: self.session_thread_deaths.get(),
-        }
-    }
-
-    /// Flip the draining gauge.
-    pub fn set_draining(&self, on: bool) {
-        // ord: Relaxed — exposition-only gauge (see `snapshot`); drain
-        // control flow synchronizes through `Shared::draining` instead.
-        self.draining.store(u64::from(on), Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of one command's metrics.
-#[derive(Clone, Debug)]
-pub struct CmdSnapshot {
-    /// Which command.
-    pub cmd: Cmd,
-    /// Requests answered.
-    pub count: u64,
-    /// Error answers.
-    pub errors: u64,
-    /// Latency distribution.
-    pub latency: HistSnapshot,
-}
-
-/// A merged point-in-time view of the whole [`Registry`].
-#[derive(Clone, Debug)]
-#[allow(missing_docs)] // field-for-field mirror of `Registry`
-pub struct Snapshot {
-    pub commands: Vec<CmdSnapshot>,
-    pub connections: u64,
-    pub sessions: u64,
-    pub slow_requests: u64,
-    pub bindings: u64,
-    pub rechecked: u64,
-    pub reused: u64,
-    pub blocked: u64,
-    pub waves: u64,
-    pub verdict_hits: u64,
-    pub verdict_misses: u64,
-    pub doc_hits: u64,
-    pub doc_misses: u64,
-    pub evictions: u64,
-    pub cache_loads: u64,
-    pub cache_load_failures: Vec<(String, u64)>,
-    pub checkpoints: u64,
-    pub checkpoint_failures: u64,
-    pub checkpoint_bytes: u64,
-    pub checkpoint_duration: HistSnapshot,
-    pub requests_shed: u64,
-    pub deadline_exceeded: u64,
-    pub draining: u64,
-    pub failpoint_trips: Vec<(String, u64)>,
-    pub session_thread_deaths: u64,
 }
 
 #[cfg(test)]
@@ -652,11 +548,11 @@ mod tests {
             c.snapshot(),
             vec![("checksum".to_string(), 2), ("epoch".to_string(), 1)]
         );
-        assert_eq!(c.total(), 3);
+        assert_eq!(c.get("checksum"), 2);
     }
 
     #[test]
-    fn registry_snapshot_mirrors_counters() {
+    fn registry_records_requests_and_counters() {
         let r = Registry::new();
         r.record_request(Cmd::Check, Duration::from_micros(250), false);
         r.record_request(Cmd::Check, Duration::from_micros(900), true);
@@ -665,28 +561,20 @@ mod tests {
         r.rechecked.add(4);
         r.reused.add(12);
         r.cache_load_failures.inc("checksum");
-        r.requests_shed.add(3);
-        r.deadline_exceeded.inc();
-        r.set_draining(true);
         r.failpoint_trips.inc("persist.write");
-        r.session_thread_deaths.inc();
-        let s = r.snapshot();
-        let check = s
-            .commands
-            .iter()
-            .find(|c| c.cmd == Cmd::Check)
-            .expect("check row");
-        assert_eq!((check.count, check.errors), (2, 1));
-        assert_eq!(check.latency.count(), 2);
-        assert_eq!(s.bindings, 16);
-        assert_eq!(s.rechecked + s.reused + s.blocked, 16);
-        assert_eq!(s.cache_load_failures, vec![("checksum".to_string(), 1)]);
-        assert_eq!(s.requests_shed, 3);
-        assert_eq!(s.deadline_exceeded, 1);
-        assert_eq!(s.draining, 1);
-        assert_eq!(s.failpoint_trips, vec![("persist.write".to_string(), 1)]);
-        assert_eq!(s.session_thread_deaths, 1);
-        r.set_draining(false);
-        assert_eq!(r.snapshot().draining, 0);
+        let check = r.cmd(Cmd::Check);
+        assert_eq!((check.count.get(), check.errors.get()), (2, 1));
+        assert_eq!(check.latency.snapshot().count(), 2);
+        assert_eq!(r.cmd(Cmd::Stats).count.get(), 1);
+        assert_eq!(r.cmd(Cmd::Open).count.get(), 0);
+        assert_eq!(
+            r.rechecked.get() + r.reused.get() + r.blocked.get(),
+            r.bindings.get()
+        );
+        assert_eq!(
+            r.cache_load_failures.snapshot(),
+            vec![("checksum".to_string(), 1)]
+        );
+        assert_eq!(r.failpoint_trips.get("persist.write"), 1);
     }
 }

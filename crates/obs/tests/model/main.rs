@@ -93,14 +93,9 @@ fn registry_totals_equal_sum_of_concurrent_records() {
         for h in hs {
             h.join().unwrap();
         }
-        let snap = r.snapshot();
-        let check = snap
-            .commands
-            .iter()
-            .find(|c| c.cmd == freezeml_obs::Cmd::Check)
-            .expect("check row");
-        assert_eq!(check.count, 2);
-        assert_eq!(check.errors, 0);
-        assert_eq!(check.latency.count(), 2);
+        let check = r.cmd(freezeml_obs::Cmd::Check);
+        assert_eq!(check.count.get(), 2);
+        assert_eq!(check.errors.get(), 0);
+        assert_eq!(check.latency.snapshot().count(), 2);
     });
 }

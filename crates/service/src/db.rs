@@ -278,6 +278,9 @@ struct CachedChunk {
     decl: Option<Arc<ParsedDecl>>,
 }
 
+/// Slices a [`Frontend`] caches before the next analysis clears it.
+const FRONTEND_CAP: usize = 8192;
+
 /// A declaration-level parse cache: the expensive parts of analysing a
 /// document — term construction and free-variable collection — are
 /// cached per declaration slice and shared by `Arc`, so an edit
@@ -323,8 +326,8 @@ impl Frontend {
     /// whether the slice was accepted — a slice that no longer parses
     /// (e.g. persisted by a different version) is simply skipped.
     pub(crate) fn absorb_slice(&mut self, slice: &str) -> bool {
-        if self.chunks.len() > 8192 {
-            return false; // respect the analyze_cached cap
+        if self.chunks.len() > FRONTEND_CAP {
+            return false;
         }
         let key = hash_str(slice);
         if matches!(self.chunks.get(&key), Some(c) if c.slice == slice) {
@@ -458,7 +461,7 @@ pub fn analyze_cached_traced(
     tracer: &Tracer,
     ctx: TraceCtx,
 ) -> Result<Analysis, AnalyzeError> {
-    if fe.chunks.len() > 8192 {
+    if fe.chunks.len() > FRONTEND_CAP {
         fe.chunks.clear(); // crude cap; the scheme cache is what matters
     }
     let mut pragmas = Vec::new();

@@ -498,6 +498,27 @@ impl Executor {
                 .map(|c| c.iter().map(|j| j.0).collect())
                 .collect();
             let decls = &a.decls;
+            // One binding, as every worker checks it: the
+            // `infer.binding` failpoint, containment, and its span.
+            let check = |w: &mut Worker, (i, env): Job| {
+                let t0 = S::ENABLED.then(Instant::now);
+                let inject = wave_inject.or_else(|| {
+                    faults_on
+                        .then(|| fault::hit_counted("infer.binding", metrics))
+                        .flatten()
+                });
+                let o = check_contained(w, bank, use_prelude, &decls[i], &env, inject);
+                if let Some(t0) = t0 {
+                    sink.emit(
+                        &Record::new("span", "infer")
+                            .ctx(ctx)
+                            .wave(wave_no as u64)
+                            .binding(i as u64)
+                            .dur(t0.elapsed()),
+                    );
+                }
+                (i, o)
+            };
             let results: Vec<(usize, Outcome)> = if k == 1 {
                 let w = &mut self.workers[0];
                 chunks
@@ -505,31 +526,10 @@ impl Executor {
                     // lint: allow(unwrap) — k == 1 guarantees exactly one chunk
                     .expect("k == 1")
                     .into_iter()
-                    .map(|(i, env)| {
-                        let t0 = if S::ENABLED {
-                            Some(Instant::now())
-                        } else {
-                            None
-                        };
-                        let inject = wave_inject.or_else(|| {
-                            faults_on
-                                .then(|| fault::hit_counted("infer.binding", metrics))
-                                .flatten()
-                        });
-                        let o = check_contained(w, bank, use_prelude, &decls[i], &env, inject);
-                        if let Some(t0) = t0 {
-                            sink.emit(
-                                &Record::new("span", "infer")
-                                    .ctx(ctx)
-                                    .wave(wave_no as u64)
-                                    .binding(i as u64)
-                                    .dur(t0.elapsed()),
-                            );
-                        }
-                        (i, o)
-                    })
+                    .map(|job| check(w, job))
                     .collect()
             } else {
+                let check = &check;
                 let joined: Vec<std::thread::Result<Vec<(usize, Outcome)>>> =
                     std::thread::scope(|s| {
                         let handles: Vec<_> = self
@@ -538,41 +538,7 @@ impl Executor {
                             .zip(chunks)
                             .map(|(w, chunk)| {
                                 s.spawn(move || {
-                                    chunk
-                                        .into_iter()
-                                        .map(|(i, env)| {
-                                            let t0 = if S::ENABLED {
-                                                Some(Instant::now())
-                                            } else {
-                                                None
-                                            };
-                                            let inject = wave_inject.or_else(|| {
-                                                faults_on
-                                                    .then(|| {
-                                                        fault::hit_counted("infer.binding", metrics)
-                                                    })
-                                                    .flatten()
-                                            });
-                                            let o = check_contained(
-                                                w,
-                                                bank,
-                                                use_prelude,
-                                                &decls[i],
-                                                &env,
-                                                inject,
-                                            );
-                                            if let Some(t0) = t0 {
-                                                sink.emit(
-                                                    &Record::new("span", "infer")
-                                                        .ctx(ctx)
-                                                        .wave(wave_no as u64)
-                                                        .binding(i as u64)
-                                                        .dur(t0.elapsed()),
-                                                );
-                                            }
-                                            (i, o)
-                                        })
-                                        .collect::<Vec<_>>()
+                                    chunk.into_iter().map(|job| check(w, job)).collect()
                                 })
                             })
                             .collect();

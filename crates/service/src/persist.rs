@@ -682,9 +682,7 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
             Item::Doc(k, _, _, _) => shared.remove_doc_report(*k),
         }
     }
-    if evicted > 0 {
-        shared.note_evictions(evicted);
-    }
+    shared.metrics().evictions.add(evicted);
     shared.cache().advance_generation();
 
     // Checkpoint-thread wiring: duration, bytes, and per-save evictions
@@ -802,22 +800,26 @@ pub fn load(shared: &Shared, epoch_now: u64, cfg: &PersistConfig) -> LoadOutcome
     // the cold-fallback path with the `io` failure label.
     if let Some(f) = fault::hit_counted("persist.load", shared.metrics()) {
         if let Err(e) = f.io_effect() {
-            return cold(shared, format!("cannot read snapshot: {e} (failpoint)"));
+            return cold(
+                shared,
+                "io",
+                format!("cannot read snapshot: {e} (failpoint)"),
+            );
         }
     }
     let path = cfg.file();
     let data = match std::fs::read(&path) {
         Ok(d) => d,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return LoadOutcome::default(),
-        Err(e) => return cold(shared, format!("cannot read {}: {e}", path.display())),
+        Err(e) => return cold(shared, "io", format!("cannot read {}: {e}", path.display())),
     };
     let (generation, payload) = match validate(&data, epoch_now) {
         Ok(p) => p,
-        Err(w) => return cold(shared, w),
+        Err((reason, w)) => return cold(shared, reason, w),
     };
     let snapshot = match decode_payload(payload) {
         Ok(s) => s,
-        Err(w) => return cold(shared, format!("malformed payload: {w}")),
+        Err(w) => return cold(shared, "malformed", format!("malformed payload: {w}")),
     };
     let out = apply(shared, generation, snapshot);
     if out.loaded {
@@ -832,33 +834,12 @@ pub fn load(shared: &Shared, epoch_now: u64, cfg: &PersistConfig) -> LoadOutcome
     out
 }
 
-/// Classify a cold-fallback warning into a small stable label set for
-/// the `cache_load_failures` counter.
-fn failure_reason(warning: &str) -> &'static str {
-    if warning.contains("too short") || warning.contains("payload length") {
-        "truncated"
-    } else if warning.contains("bad magic") {
-        "magic"
-    } else if warning.contains("format version") {
-        "version"
-    } else if warning.contains("epoch mismatch") {
-        "epoch"
-    } else if warning.contains("checksum mismatch") {
-        "checksum"
-    } else if warning.contains("malformed payload") {
-        "malformed"
-    } else if warning.contains("cannot read") {
-        "io"
-    } else {
-        "other"
-    }
-}
-
 /// A cold start with a warning: the structured replacement for what
-/// used to be an unstructured stderr line — the reason lands on the
+/// used to be an unstructured stderr line — `reason`, one of a small
+/// stable label set named where the failure happens (`io`, `truncated`,
+/// `magic`, `version`, `epoch`, `checksum`, `malformed`), lands on the
 /// `cache_load_failures` labeled counter and a `warn` trace record.
-fn cold(shared: &Shared, warning: String) -> LoadOutcome {
-    let reason = failure_reason(&warning);
+fn cold(shared: &Shared, reason: &'static str, warning: String) -> LoadOutcome {
     shared.metrics().cache_load_failures.inc(reason);
     shared.tracer().warn(
         "cold-fallback",
@@ -871,13 +852,17 @@ fn cold(shared: &Shared, warning: String) -> LoadOutcome {
     }
 }
 
-/// Header and checksum validation; returns the generation and payload.
-fn validate(data: &[u8], epoch_now: u64) -> Result<(u64, &[u8]), String> {
+/// Header and checksum validation; returns the generation and payload,
+/// or the failure's `cache_load_failures` reason and its warning.
+fn validate(data: &[u8], epoch_now: u64) -> Result<(u64, &[u8]), (&'static str, String)> {
     if data.len() < HEADER_LEN {
-        return Err(format!("file too short ({} bytes)", data.len()));
+        return Err((
+            "truncated",
+            format!("file too short ({} bytes)", data.len()),
+        ));
     }
     if &data[0..4] != MAGIC {
-        return Err("bad magic".to_string());
+        return Err(("magic", "bad magic".to_string()));
     }
     // lint: allow(unwrap) — 4-byte slice by construction
     let u32_at = |i: usize| u32::from_le_bytes(data[i..i + 4].try_into().expect("4"));
@@ -885,24 +870,24 @@ fn validate(data: &[u8], epoch_now: u64) -> Result<(u64, &[u8]), String> {
     let u64_at = |i: usize| u64::from_le_bytes(data[i..i + 8].try_into().expect("8"));
     let version = u32_at(4);
     if version != FORMAT_VERSION {
-        return Err(format!("format version {version} != {FORMAT_VERSION}"));
+        let w = format!("format version {version} != {FORMAT_VERSION}");
+        return Err(("version", w));
     }
     let epoch = u64_at(8);
     if epoch != epoch_now {
-        return Err("epoch mismatch (engine version or options changed)".to_string());
+        let w = "epoch mismatch (engine version or options changed)";
+        return Err(("epoch", w.to_string()));
     }
     let generation = u64_at(16);
     let payload_len = u64_at(24) as usize;
     let checksum = u64_at(32);
     let payload = &data[HEADER_LEN..];
     if payload.len() != payload_len {
-        return Err(format!(
-            "payload length {} != header's {payload_len}",
-            payload.len()
-        ));
+        let w = format!("payload length {} != header's {payload_len}", payload.len());
+        return Err(("truncated", w));
     }
     if Hasher64::new().write(payload).finish() != checksum {
-        return Err("checksum mismatch".to_string());
+        return Err(("checksum", "checksum mismatch".to_string()));
     }
     Ok((generation, payload))
 }
@@ -916,12 +901,16 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
     // snapshot whose node table the bank rejects).
     if let Some(f) = fault::hit_counted("bank.absorb", shared.metrics()) {
         if let Err(e) = f.io_effect() {
-            return cold(shared, format!("malformed payload: {e} (failpoint)"));
+            return cold(
+                shared,
+                "malformed",
+                format!("malformed payload: {e} (failpoint)"),
+            );
         }
     }
     let absorbed = match bank.absorb_snapshot(&snapshot.nodes) {
         Ok(a) => a,
-        Err(e) => return cold(shared, e.to_string()),
+        Err(e) => return cold(shared, "malformed", e.to_string()),
     };
 
     // Reinstate renderings before any entry can demand one, so the warm
@@ -1277,6 +1266,24 @@ mod tests {
         let out = load(&Shared::new(), epoch(&opts), &cfg);
         assert!(!out.loaded);
         assert!(out.warning.unwrap().contains("checksum"));
+
+        // A checksum-valid payload whose node table the bank rejects (a
+        // child index past the table) is a malformed snapshot too.
+        let payload = encode_payload(&DecodedSnapshot {
+            nodes: vec![PortableNode::Con(PortableCon::Arrow, vec![5, 5])],
+            ..DecodedSnapshot::default()
+        });
+        let mut file = valid[..HEADER_LEN - 16].to_vec();
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&Hasher64::new().write(&payload).finish().to_le_bytes());
+        file.extend_from_slice(&payload);
+        std::fs::write(cfg.file(), &file).unwrap();
+        let fresh = Shared::new();
+        let out = load(&fresh, epoch(&opts), &cfg);
+        assert!(!out.loaded);
+        assert!(out.warning.unwrap().contains("not topological"));
+        let text = crate::stats::prometheus_text(&fresh);
+        assert!(text.contains("freezeml_cache_load_failures_total{reason=\"malformed\"} 1"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1320,7 +1327,7 @@ mod tests {
         cfg.max_bytes = 220;
         let out = save(&shared, epoch(&opts), &cfg).unwrap();
         assert!(out.evicted > 0, "tiny budget must evict");
-        assert!(shared.evictions() > 0);
+        assert!(shared.metrics().evictions.get() > 0);
         assert!(
             std::fs::metadata(cfg.file()).unwrap().len() <= cfg.max_bytes,
             "file respects the cap"

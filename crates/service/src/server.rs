@@ -16,7 +16,7 @@
 //!   a client streaming bytes without a newline grew the buffer without
 //!   bound.
 
-use crate::protocol::{handle_line, Json};
+use crate::protocol::{handle_line, reject, Json};
 use crate::service::Service;
 use freezeml_obs::Val;
 use std::io::{self, BufRead, Write};
@@ -167,7 +167,8 @@ pub fn serve<R: BufRead, W: Write>(svc: &mut Service, reader: R, writer: W) -> i
 
 /// Serve requests until EOF. Every line gets exactly one response line;
 /// malformed, non-UTF-8, and oversized requests produce `{"ok":false,…}`
-/// rather than terminating the session. Blank lines are ignored.
+/// rather than terminating the session, and count as `invalid` requests
+/// in the hub's registry. Blank lines are ignored.
 ///
 /// # Errors
 ///
@@ -209,15 +210,16 @@ pub fn serve_with<R: BufRead, W: Write>(
                 let _ = writer.flush();
                 return Ok(());
             }
-            RawLine::Oversized { len } => transport_error(
-                "oversized",
-                format!(
-                    "request of {len} bytes exceeds the {}-byte limit",
-                    opts.max_request_bytes
-                ),
-            ),
+            RawLine::Oversized { len } => {
+                let limit = opts.max_request_bytes;
+                let msg = format!("request of {len} bytes exceeds the {limit}-byte limit");
+                reject(svc, transport_error("oversized", msg))
+            }
             RawLine::Line => match std::str::from_utf8(&buf) {
-                Err(e) => transport_error("encoding", format!("request is not valid UTF-8: {e}")),
+                Err(e) => {
+                    let msg = format!("request is not valid UTF-8: {e}");
+                    reject(svc, transport_error("encoding", msg))
+                }
                 Ok(line) => {
                     if line.trim().is_empty() {
                         continue;
@@ -268,6 +270,7 @@ mod tests {
     use crate::db::EngineSel;
     use crate::service::ServiceConfig;
     use freezeml_core::Options;
+    use freezeml_obs::Cmd;
     use std::io::Cursor;
 
     fn uf_service(workers: usize) -> Service {
@@ -336,6 +339,8 @@ mod tests {
             Some("encoding")
         );
         assert_eq!(lines[2].get("result").and_then(Json::as_str), Some("Int"));
+        let invalid = svc.shared().metrics().cmd(Cmd::Invalid);
+        assert_eq!((invalid.count.get(), invalid.errors.get()), (1, 1));
     }
 
     #[test]
@@ -368,6 +373,8 @@ mod tests {
             .unwrap()
             .contains("10000 bytes"));
         assert_eq!(lines[2].get("result").and_then(Json::as_str), Some("Int"));
+        let invalid = svc.shared().metrics().cmd(Cmd::Invalid);
+        assert_eq!((invalid.count.get(), invalid.errors.get()), (1, 1));
     }
 
     #[test]

@@ -252,11 +252,6 @@ impl Service {
         ))
     }
 
-    /// Cache entries evicted by the persistence layer (size cap).
-    pub fn evictions(&self) -> u64 {
-        self.shared.evictions()
-    }
-
     /// The configuration the service was built with.
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
@@ -265,29 +260,6 @@ impl Service {
     /// The hub this service runs against.
     pub fn shared(&self) -> &Arc<Shared> {
         &self.shared
-    }
-
-    /// Scheme-cache size (for observability).
-    pub fn cache_len(&self) -> usize {
-        self.shared.cache().len()
-    }
-
-    /// Tree/string materialisations the shared scheme bank has
-    /// performed — the zonk counter. `type-of` on an unchanged binding
-    /// and warm `check` passes must not move it: schemes are served as
-    /// memoised `Arc` renderings keyed by [`freezeml_engine::SchemeId`].
-    pub fn scheme_renders(&self) -> u64 {
-        self.shared.bank().renders()
-    }
-
-    /// Renderings served from the scheme bank's per-id memo.
-    pub fn scheme_render_hits(&self) -> u64 {
-        self.shared.bank().render_hits()
-    }
-
-    /// Interned scheme nodes in the shared bank (observability).
-    pub fn scheme_nodes(&self) -> usize {
-        self.shared.bank().len()
     }
 
     fn set_text(&mut self, doc: &str, text: &str) -> Result<&CheckReport, ServiceError> {
@@ -619,7 +591,7 @@ mod tests {
             "#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n",
         )
         .unwrap();
-        let renders_cold = s.scheme_renders();
+        let renders_cold = s.shared().bank().renders();
         assert!(renders_cold > 0, "cold check renders each scheme once");
         for _ in 0..5 {
             let b = s.type_of("d", "f").unwrap().unwrap();
@@ -630,7 +602,7 @@ mod tests {
         let warm = s.check("d").unwrap();
         assert_eq!((warm.rechecked, warm.reused), (0, 2));
         assert_eq!(
-            s.scheme_renders(),
+            s.shared().bank().renders(),
             renders_cold,
             "type-of and warm checks never re-zonk"
         );
@@ -641,9 +613,13 @@ mod tests {
             s.type_of("e", "g").unwrap().unwrap().outcome.display(),
             "forall a. a -> a"
         );
-        assert_eq!(s.scheme_renders(), renders_cold, "α-equal scheme: memo hit");
-        assert!(s.scheme_render_hits() > 0);
-        assert!(s.scheme_nodes() > 0);
+        assert_eq!(
+            s.shared().bank().renders(),
+            renders_cold,
+            "α-equal scheme: memo hit"
+        );
+        assert!(s.shared().bank().render_hits() > 0);
+        assert!(!s.shared().bank().is_empty());
     }
 
     #[test]
@@ -713,11 +689,14 @@ mod tests {
             "#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n",
         )
         .unwrap();
-        let (nodes, renders) = (s.scheme_nodes(), s.scheme_renders());
+        let (nodes, renders) = (s.shared().bank().len(), s.shared().bank().renders());
         s.elaborate("d", "f").unwrap().unwrap();
-        assert_eq!((s.scheme_nodes(), s.scheme_renders()), (nodes, renders));
+        assert_eq!(
+            (s.shared().bank().len(), s.shared().bank().renders()),
+            (nodes, renders)
+        );
         s.elaborate("d", "p").unwrap().unwrap();
-        assert_eq!(s.scheme_nodes(), nodes);
+        assert_eq!(s.shared().bank().len(), nodes);
     }
 
     #[test]

@@ -292,15 +292,6 @@ impl Shared {
         self.doc_lock().len()
     }
 
-    /// Cache entries evicted by the persistence layer so far.
-    pub fn evictions(&self) -> u64 {
-        self.metrics.evictions.get()
-    }
-
-    pub(crate) fn note_evictions(&self, n: u64) {
-        self.metrics.evictions.add(n);
-    }
-
     /// The hub's metrics registry.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
@@ -322,7 +313,7 @@ impl Shared {
 
     /// Ask the hub to drain: the socket server stops accepting,
     /// finishes in-flight requests, and its foreground `join` returns.
-    /// Idempotent; also flips the registry's `draining` gauge.
+    /// Idempotent. The flag is also what `stats` and `metrics` report.
     pub fn request_drain(&self) {
         // ord: Release — publishes everything the drain requester did
         // (e.g. the shutdown response it queued) to loops that observe
@@ -330,7 +321,6 @@ impl Shared {
         // overkill: there is one flag, so no cross-variable total order
         // is needed.
         self.draining.store(true, Ordering::Release);
-        self.metrics.set_draining(true);
     }
 
     /// Has a drain been requested on this hub?

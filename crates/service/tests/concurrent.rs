@@ -161,7 +161,7 @@ fn concurrent_sessions_answer_exactly_like_a_single_threaded_replay() {
     }
     // PR 9 satellite: the socket pool lost no thread while serving.
     assert_eq!(
-        shared.metrics().snapshot().session_thread_deaths,
+        shared.metrics().session_thread_deaths.get(),
         0,
         "a session thread panicked during the concurrent run"
     );
@@ -316,37 +316,36 @@ fn registry_totals_match_client_reports_under_concurrency() {
     let want = totals.iter().fold((0, 0, 0, 0, 0), |a, t| {
         (a.0 + t.0, a.1 + t.1, a.2 + t.2, a.3 + t.3, a.4 + t.4)
     });
-    let s = shared.metrics().snapshot();
+    let s = shared.metrics();
+    let got = [&s.bindings, &s.rechecked, &s.reused, &s.blocked, &s.waves].map(|c| c.get());
     assert_eq!(
-        (s.bindings, s.rechecked, s.reused, s.blocked, s.waves),
-        (
-            want.0 as u64,
-            want.1 as u64,
-            want.2 as u64,
-            want.3 as u64,
-            want.4 as u64
-        ),
+        got,
+        [want.0, want.1, want.2, want.3, want.4].map(|n| n as u64),
         "registry drifted from what the sessions were served"
     );
+    let [bindings, rechecked, reused, blocked, _] = got;
     assert_eq!(
-        s.bindings,
-        s.rechecked + s.reused + s.blocked,
+        bindings,
+        rechecked + reused + blocked,
         "registry-level accounting invariant"
     );
     // Verdict-cache traffic: every recheck was a miss; reuse counts a
     // verdict hit only when the executor actually probed (whole reports
     // served from the document cache relabel bindings as reused without
     // touching the verdict cache, so hits can lag reused).
-    assert_eq!(s.verdict_misses, s.rechecked);
+    assert_eq!(s.verdict_misses.get(), rechecked);
+    let verdict_hits = s.verdict_hits.get();
     assert!(
-        s.verdict_hits <= s.reused,
-        "verdict hits {} cannot exceed reused {}",
-        s.verdict_hits,
-        s.reused
+        verdict_hits <= reused,
+        "verdict hits {verdict_hits} cannot exceed reused {reused}"
     );
-    assert_eq!(s.sessions, SESSIONS as u64);
+    assert_eq!(s.sessions.get(), SESSIONS as u64);
     // PR 9 satellite: no session thread died along the way — a panic
     // escaping the per-connection containment can never again shrink
     // the pool silently, because this counter would catch it.
-    assert_eq!(s.session_thread_deaths, 0, "a session thread panicked");
+    assert_eq!(
+        s.session_thread_deaths.get(),
+        0,
+        "a session thread panicked"
+    );
 }

@@ -289,13 +289,11 @@ fn a_corrupt_snapshot_counts_a_load_failure_and_still_starts_cold() {
     let out = persist::load(&shared, persist::epoch(&cfg().opts), &pcfg);
     assert!(!out.loaded, "corrupt snapshot must not warm the hub");
     assert!(out.warning.is_some(), "cold fallback carries the reason");
-    let s = shared.metrics().snapshot();
-    let total: u64 = s.cache_load_failures.iter().map(|(_, n)| n).sum();
-    assert_eq!(total, 1, "exactly one load failure counted");
+    let failures = shared.metrics().cache_load_failures.snapshot();
     assert_eq!(
-        s.cache_load_failures.first().map(|(r, _)| r.as_str()),
-        Some("checksum"),
-        "the failure carries its reason label"
+        failures,
+        vec![("checksum".to_string(), 1)],
+        "exactly one load failure counted, with its reason label"
     );
 
     // …and the hub still serves from cold.
@@ -318,10 +316,10 @@ fn checkpoint_saves_land_in_the_registry_and_in_stats() {
     let out = persist::save(&shared, persist::epoch(&cfg().opts), &pcfg).unwrap();
     assert!(out.bytes > 0);
 
-    let s = shared.metrics().snapshot();
-    assert_eq!(s.checkpoints, 1);
-    assert_eq!(s.checkpoint_bytes, out.bytes);
-    assert_eq!(s.checkpoint_duration.count(), 1);
+    let m = shared.metrics();
+    assert_eq!(m.checkpoints.get(), 1);
+    assert_eq!(m.checkpoint_bytes.get(), out.bytes);
+    assert_eq!(m.checkpoint_duration.snapshot().count(), 1);
 
     // The same numbers through the protocol's `stats` command.
     let stats = freezeml_service::stats_json(&shared);

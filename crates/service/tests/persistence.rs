@@ -177,7 +177,7 @@ fn a_persisted_warm_start_schedules_no_work_at_all() {
     assert_eq!(report.waves, 0, "no scheduling on a persisted warm start");
     assert_eq!(report.reused, 64);
     assert_eq!(
-        svc.scheme_renders(),
+        svc.shared().bank().renders(),
         0,
         "persisted render table serves every scheme string; the bank \
          materialises nothing"
@@ -298,7 +298,7 @@ fn the_size_cap_evicts_oldest_generations_first_and_reloads_clean() {
     // The hub counter is cumulative across saves (the first snapshot
     // may already have evicted); it must account for at least this one.
     assert!(
-        svc.evictions() >= saved.evicted,
+        svc.shared().metrics().evictions.get() >= saved.evicted,
         "surfaced in service stats"
     );
     drop(svc);

@@ -211,15 +211,15 @@ fn a_shed_fleet_backs_off_and_every_workload_completes() {
     // Per client: open + (edit, type-of, batch) + close — shed
     // attempts that were retried must not inflate the count.
     assert_eq!(sent, 16 * 5, "every client completed its whole script");
-    let snap = shared.metrics().snapshot();
+    let m = shared.metrics();
     assert!(
-        snap.requests_shed > 0,
+        m.requests_shed.get() > 0,
         "16 clients over 2 sessions + 1 queue slot must shed"
     );
-    assert_eq!(snap.session_thread_deaths, 0);
+    assert_eq!(m.session_thread_deaths.get(), 0);
     assert_eq!(
-        snap.rechecked + snap.reused + snap.blocked,
-        snap.bindings,
+        m.rechecked.get() + m.reused.get() + m.blocked.get(),
+        m.bindings.get(),
         "the accounting identity survives shedding and retries"
     );
     server.shutdown();
@@ -281,11 +281,10 @@ fn a_chaos_run_answers_structurally_and_heals_to_exact_agreement() {
 
     // Heal: the chaos survivor answers exactly like a fresh
     // single-threaded service, on every program the fleet used.
-    let snap = m.snapshot();
-    assert_eq!(snap.session_thread_deaths, 0);
+    assert_eq!(m.session_thread_deaths.get(), 0);
     assert_eq!(
-        snap.rechecked + snap.reused + snap.blocked,
-        snap.bindings,
+        m.rechecked.get() + m.reused.get() + m.blocked.get(),
+        m.bindings.get(),
         "the accounting identity survives the chaos run"
     );
 
@@ -358,7 +357,7 @@ fn a_drain_mid_check_delivers_the_in_flight_response_then_checkpoints() {
     // the hub out from under it.
     std::thread::sleep(Duration::from_millis(50));
     shared.request_drain();
-    assert_eq!(shared.metrics().snapshot().draining, 1);
+    assert!(freezeml_service::prometheus_text(&shared).contains("freezeml_draining 1"));
 
     // The in-flight request is still answered in full…
     let v = read_json_line(&mut r);

@@ -483,8 +483,8 @@ fn cmd_check(
                         println!(
                             "  [{n} binding(s), rechecked {rechecked}, reused {reused}, \
                              {waves} wave(s), {} cached, {} evicted]",
-                            svc.cache_len(),
-                            svc.evictions()
+                            svc.shared().cache().len(),
+                            svc.shared().metrics().evictions.get()
                         );
                     } else {
                         println!(

@@ -27,8 +27,8 @@
 //! B.1) deliberately rejects.
 
 use crate::format::{Case, Mode};
-use crate::runner::Engine;
 use freezeml_core::{KindEnv, Options, RefinedEnv, TypeEnv};
+use freezeml_service::EngineSel;
 use freezeml_translate::elaborate::{images_agree, try_check_sound, CheckedElab};
 use freezeml_translate::ElabEngine;
 
@@ -55,7 +55,7 @@ pub fn check_elaboration(
     src: &str,
     mode: Mode,
     opts: &Options,
-    engine: Engine,
+    engine: EngineSel,
 ) -> Result<Option<ElabOutcome>, String> {
     if mode == Mode::Pure {
         return Ok(None); // full-System-F images; see the module docs
@@ -69,9 +69,9 @@ pub fn check_elaboration(
         return Ok(None);
     }
     let selected: &[ElabEngine] = match engine {
-        Engine::Core => &[ElabEngine::Core],
-        Engine::Uf => &[ElabEngine::Uf],
-        Engine::Both => &[ElabEngine::Core, ElabEngine::Uf],
+        EngineSel::Core => &[ElabEngine::Core],
+        EngineSel::Uf => &[ElabEngine::Uf],
+        EngineSel::Both => &[ElabEngine::Core, ElabEngine::Uf],
     };
     let mut checked: Vec<CheckedElab> = Vec::with_capacity(selected.len());
     for e in selected {
@@ -100,7 +100,7 @@ pub fn check_elaboration(
 /// # Errors
 ///
 /// As [`check_elaboration`].
-pub fn check_case(case: &Case, engine: Engine) -> Result<Option<ElabOutcome>, String> {
+pub fn check_case(case: &Case, engine: EngineSel) -> Result<Option<ElabOutcome>, String> {
     let env = crate::runner::case_env(case)?;
     let opts = crate::runner::case_options(case);
     check_elaboration(&env, &case.program, case.mode, &opts, engine)

@@ -46,6 +46,4 @@ pub mod program;
 pub mod runner;
 
 pub use format::{Case, CaseFile, Expectation, FormatError, Mode};
-pub use runner::{
-    bless_dir, check_or_bless, run_dir, run_files, CaseOutcome, Engine, SuiteOutcome,
-};
+pub use runner::{bless_dir, check_or_bless, run_dir, run_files, CaseOutcome, SuiteOutcome};

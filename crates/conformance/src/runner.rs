@@ -13,44 +13,7 @@ use crate::format::{self, Case, CaseFile, Expectation, FormatError, Mode};
 use freezeml_core::{infer_program, parse_type, Options, Type, TypeEnv};
 use freezeml_corpus::figure2;
 use freezeml_engine::differential;
-
-/// Which inference engine(s) the runner drives.
-///
-/// Selected by the `ENGINE` environment variable: `core` (the
-/// paper-literal Figure 15–16 engine), `uf` (the union-find engine), or
-/// `both` (the default — run the union-find engine against the oracle and
-/// fail any case on which they disagree, so `cargo test -q` exercises the
-/// new engine on every golden file).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Engine {
-    /// Paper-literal engine only.
-    Core,
-    /// Union-find engine only.
-    Uf,
-    /// Both, with an agreement obligation per case.
-    #[default]
-    Both,
-}
-
-impl Engine {
-    /// Read the selection from `ENGINE` (defaults to [`Engine::Both`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — a misspelt selector silently
-    /// running the wrong engine would defeat the differential harness.
-    pub fn from_env() -> Engine {
-        match std::env::var("ENGINE") {
-            Err(_) => Engine::default(),
-            Ok(v) => match v.as_str() {
-                "core" => Engine::Core,
-                "uf" => Engine::Uf,
-                "both" | "" => Engine::Both,
-                other => panic!("ENGINE must be core|uf|both, got `{other}`"),
-            },
-        }
-    }
-}
+use freezeml_service::EngineSel;
 
 /// What the checker actually produced for a case.
 #[derive(Clone, Debug)]
@@ -170,14 +133,14 @@ pub(crate) fn case_options(case: &Case) -> Options {
 /// Run inference for a case with the engine selected by `ENGINE`,
 /// independent of its expectation.
 pub fn infer_case(case: &Case) -> Actual {
-    infer_case_with(case, Engine::from_env())
+    infer_case_with(case, EngineSel::from_env())
 }
 
-/// Run inference for a case on a specific engine. In [`Engine::Both`]
+/// Run inference for a case on a specific engine. In [`EngineSel::Both`]
 /// mode the union-find engine must agree with the oracle (α-equivalent
 /// type, or same error class); a disagreement renders the case invalid,
 /// which fails it with a readable diff naming both verdicts.
-pub fn infer_case_with(case: &Case, engine: Engine) -> Actual {
+pub fn infer_case_with(case: &Case, engine: EngineSel) -> Actual {
     let env = match case_env(case) {
         Ok(env) => env,
         Err(e) => return Actual::Invalid(e),
@@ -188,9 +151,9 @@ pub fn infer_case_with(case: &Case, engine: Engine) -> Actual {
         Err(e) => Actual::Error(e.to_string()),
     };
     match engine {
-        Engine::Core => to_actual(infer_program(&env, &case.program, &opts)),
-        Engine::Uf => to_actual(freezeml_engine::infer_program(&env, &case.program, &opts)),
-        Engine::Both => match differential::compare_program(&env, &case.program, &opts) {
+        EngineSel::Core => to_actual(infer_program(&env, &case.program, &opts)),
+        EngineSel::Uf => to_actual(freezeml_engine::infer_program(&env, &case.program, &opts)),
+        EngineSel::Both => match differential::compare_program(&env, &case.program, &opts) {
             // Expectations (golden types and error wording) are checked
             // against the oracle's output.
             Ok(oracle) => to_actual(oracle),
@@ -360,7 +323,7 @@ fn elaboration_verdict(case: &Case, path: &Path, actual: &Actual) -> (bool, Opti
         }
         (false, Some(s))
     };
-    match crate::elab::check_case(case, Engine::from_env()) {
+    match crate::elab::check_case(case, EngineSel::from_env()) {
         Err(msg) => fail(
             "a sound System F elaboration",
             &msg,
@@ -532,7 +495,7 @@ pub fn bless_files(files: &[CaseFile]) -> Vec<(PathBuf, String)> {
             // `expect-f:` blessing is opt-in per case: only a present
             // (wrong or unblessed) directive is rewritten.
             if let (Some(want), Some(line)) = (&case.expect_f, case.expect_f_line) {
-                if let Ok(Some(out)) = crate::elab::check_case(case, Engine::from_env()) {
+                if let Ok(Some(out)) = crate::elab::check_case(case, EngineSel::from_env()) {
                     if *want != out.rendered {
                         replacements.push((line, format!("expect-f: {}", out.rendered)));
                     }
@@ -608,7 +571,7 @@ mod tests {
              ## case A8\nprogram: choose id auto'\n",
         )
         .unwrap();
-        for engine in [Engine::Core, Engine::Uf, Engine::Both] {
+        for engine in [EngineSel::Core, EngineSel::Uf, EngineSel::Both] {
             let ok = infer_case_with(&file.cases[0], engine);
             assert!(
                 matches!(&ok, Actual::Type(t)
@@ -619,11 +582,6 @@ mod tests {
             let err = infer_case_with(&file.cases[1], engine);
             assert!(matches!(err, Actual::Error(_)), "{engine:?}");
         }
-    }
-
-    #[test]
-    fn engine_default_is_both() {
-        assert_eq!(Engine::default(), Engine::Both);
     }
 
     #[test]

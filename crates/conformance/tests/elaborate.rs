@@ -5,9 +5,9 @@
 //! images and agreeing evaluation (see `freezeml_conformance::elab`).
 
 use freezeml_conformance::elab::check_elaboration;
-use freezeml_conformance::runner::Engine;
 use freezeml_conformance::Mode;
 use freezeml_core::{Options, Term};
+use freezeml_service::EngineSel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,7 +24,7 @@ fn figure1_corpus_elaborates_on_both_engines() {
     for e in freezeml_corpus::EXAMPLES {
         let env = freezeml_corpus::runner::env_for(e);
         let opts = freezeml_corpus::runner::options_for(e);
-        match check_elaboration(&env, e.src, fml_mode(e.mode), &opts, Engine::Both) {
+        match check_elaboration(&env, e.src, fml_mode(e.mode), &opts, EngineSel::Both) {
             Ok(Some(_)) => checked += 1,
             Ok(None) => {} // ill-typed row or pure mode — not this axis
             Err(msg) => panic!("{}: {msg}", e.id),
@@ -138,7 +138,7 @@ fn generated_terms_elaborate_on_both_engines() {
             &src,
             Mode::Standard,
             &Options::default(),
-            Engine::Both,
+            EngineSel::Both,
         ) {
             Ok(Some(_)) => elaborated += 1,
             Ok(None) => {}

@@ -1,6 +1,6 @@
 //! The program database: bindings keyed by content hash, a resolved
-//! dependency graph with SCC condensation, and Merkle-style cache keys
-//! that make invalidation exact.
+//! dependency graph levelled into topological waves, and Merkle-style
+//! cache keys that make invalidation exact.
 //!
 //! ## Invalidation model
 //!
@@ -24,12 +24,11 @@
 //! inference state to leak.
 //!
 //! Name resolution follows ML shadowing — each free variable resolves to
-//! the *latest earlier* declaration of that name, so the dependency
-//! graph is a DAG; the condensation ([`crate::graph`]) is computed
-//! anyway and a genuine cycle would surface as an executor error, not a
-//! scheduling bug.
+//! the *latest earlier* declaration of that name, so every dependency
+//! edge points backwards and the graph is acyclic by construction. A
+//! binding's wave is therefore one more than the latest wave among its
+//! dependencies (0 without any), computed in the same forward pass.
 
-use crate::graph::{condense, Condensation};
 use crate::hash::{hash_str, Hasher64, U64Map};
 use crate::sync::Arc;
 use freezeml_core::{
@@ -38,8 +37,8 @@ use freezeml_core::{
 use freezeml_obs::{TraceCtx, Tracer};
 use fxhash::FxHashMap;
 
-/// Which inference engine(s) the service drives — mirroring the
-/// conformance harness's `ENGINE` selector.
+/// Which inference engine(s) the service and the conformance harness
+/// drive.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineSel {
     /// The paper-literal `core` engine only.
@@ -126,6 +125,16 @@ impl Outcome {
         matches!(self, Outcome::Typed { .. })
     }
 
+    /// May this verdict be cached and served warm? Disagreements and
+    /// internal errors are checker bugs, so every pass recomputes them.
+    pub(crate) fn cacheable(&self) -> bool {
+        match self {
+            Outcome::Disagreement { .. } => false,
+            Outcome::Error { class, .. } => class != crate::exec::INTERNAL_ERROR_CLASS,
+            _ => true,
+        }
+    }
+
     /// One-line rendering for reports and diffs.
     pub fn display(&self) -> String {
         match self {
@@ -202,7 +211,7 @@ impl DeclInfo {
 }
 
 /// A parsed program analysed for checking: resolved dependencies,
-/// condensation, and cache keys.
+/// topological waves, and cache keys.
 #[derive(Clone, Debug)]
 pub struct Analysis {
     /// The source text the program was parsed from (spans index into it).
@@ -213,8 +222,10 @@ pub struct Analysis {
     pub decls: Vec<DeclInfo>,
     /// `deps[i]` — indices of the declarations binding `i` depends on.
     pub deps: Vec<Vec<usize>>,
-    /// The SCC condensation and its topological waves.
-    pub cond: Condensation,
+    /// Binding indices grouped into topological waves, ascending within
+    /// each wave: every dependency of a binding in wave `k` lies in a
+    /// wave `< k`, so the bindings of one wave are independent.
+    pub waves: Vec<Vec<usize>>,
     /// `keys[i]` — the Merkle cache key of binding `i`.
     pub keys: Vec<u64>,
 }
@@ -355,17 +366,25 @@ impl Frontend {
     }
 }
 
+/// Write the checker options into a fingerprint: the value restriction,
+/// then the instantiation strategy as 0/1. The document key, the Merkle
+/// keys and the snapshot epoch all mix these words in this order, so
+/// changing it orphans every persisted snapshot.
+pub(crate) fn write_options(h: &mut Hasher64, opts: &Options) {
+    h.write_u64(u64::from(opts.value_restriction));
+    h.write_u64(match opts.instantiation {
+        InstantiationStrategy::Variable => 0,
+        InstantiationStrategy::Eliminator => 1,
+    });
+}
+
 /// The whole-document cache key: text plus the same configuration
 /// fingerprint the Merkle keys mix in. Two sessions with different
 /// options or engines can share one hub without serving each other's
 /// reports.
 pub fn doc_key(src: &str, opts: &Options, engine: EngineSel) -> u64 {
     let mut h = Hasher64::new();
-    h.write_u64(u64::from(opts.value_restriction));
-    h.write_u64(match opts.instantiation {
-        InstantiationStrategy::Variable => 0,
-        InstantiationStrategy::Eliminator => 1,
-    });
+    write_options(&mut h, opts);
     h.write_u64(engine.tag());
     h.write_str(src);
     h.finish()
@@ -570,9 +589,13 @@ fn build_analysis(
     // Resolve each free variable to the latest earlier declaration of
     // that name (ML shadowing), via an incrementally maintained
     // name → latest-index map — O(total free variables), not O(n²).
+    // Dependencies are earlier bindings, so their waves are already
+    // known and pushing `i` keeps every wave ascending.
     let mut latest: FxHashMap<Symbol, usize> =
         FxHashMap::with_capacity_and_hasher(n, Default::default());
     let mut deps: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut wave_of: Vec<usize> = Vec::with_capacity(n);
+    let mut waves: Vec<Vec<usize>> = Vec::new();
     for (i, d) in decls.iter().enumerate() {
         let mut ds: Vec<usize> = d
             .free_vars()
@@ -581,20 +604,21 @@ fn build_analysis(
             .collect();
         ds.sort_unstable();
         ds.dedup();
+        let w = ds.iter().map(|&j| wave_of[j] + 1).max().unwrap_or(0);
+        if w == waves.len() {
+            waves.push(Vec::new());
+        }
+        waves[w].push(i);
+        wave_of.push(w);
         deps.push(ds);
         latest.insert(d.name_sym(), i);
     }
-    let cond = condense(n, &deps);
 
     // Configuration fingerprint, mixed into every key: the same binding
     // under a different mode, engine, or prelude is a different cache
     // entry.
     let mut cfg = Hasher64::new();
-    cfg.write_u64(u64::from(opts.value_restriction));
-    cfg.write_u64(match opts.instantiation {
-        InstantiationStrategy::Variable => 0,
-        InstantiationStrategy::Eliminator => 1,
-    });
+    write_options(&mut cfg, opts);
     cfg.write_u64(engine.tag());
     cfg.write_u64(u64::from(uses_prelude));
     let cfg = cfg.finish();
@@ -619,7 +643,7 @@ fn build_analysis(
         uses_prelude,
         decls,
         deps,
-        cond,
+        waves,
         keys,
     }
 }
@@ -644,6 +668,7 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::GenProgram;
 
     fn std_analysis(src: &str) -> Analysis {
         analyze(src, &Options::default(), EngineSel::Uf).unwrap()
@@ -658,11 +683,108 @@ mod tests {
     #[test]
     fn diamond_waves_expose_parallelism() {
         let a = std_analysis(DIAMOND);
-        assert_eq!(a.cond.waves.len(), 3);
-        assert_eq!(a.cond.waves[1].len(), 2, "l and r are independent");
+        assert_eq!(a.waves.len(), 3);
+        assert_eq!(a.waves[1].len(), 2, "l and r are independent");
         assert_eq!(a.dependents(0), vec![1, 2, 3]);
         assert_eq!(a.dependents(1), vec![3]);
         assert_eq!(a.dependents(3), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_chain_gives_one_wave_per_binding() {
+        let a = std_analysis("let a = 1;;\nlet b = a;;\nlet c = b;;\n");
+        assert_eq!(a.waves, vec![vec![0], vec![1], vec![2]]);
+    }
+
+    #[test]
+    fn independent_bindings_share_wave_zero() {
+        let a = std_analysis("let a = 1;;\nlet b = 2;;\nlet c = 3;;\n");
+        assert_eq!(a.waves, vec![vec![0, 1, 2]]);
+    }
+
+    #[test]
+    fn names_resolve_only_to_earlier_declarations() {
+        // Mutual and self references cannot form a cycle: `g` in `f`
+        // and `h` in `h` are not yet declared, so they are free (an
+        // unbound-variable error at check time), not dependencies.
+        let a = std_analysis(
+            "let f = fun x -> g x;;\n\
+             let g = fun y -> f y;;\n\
+             let h = fun z -> h z;;\n",
+        );
+        assert_eq!(a.deps, vec![vec![], vec![0], vec![]]);
+        assert_eq!(a.waves, vec![vec![0, 2], vec![1]]);
+    }
+
+    #[test]
+    fn a_deep_chain_levels_one_wave_per_binding() {
+        let n = 20_000;
+        let mut src = String::from("let x0 = 1;;\n");
+        for i in 1..n {
+            src.push_str(&format!("let x{i} = x{};;\n", i - 1));
+        }
+        let a = std_analysis(&src);
+        assert_eq!(a.waves.len(), n);
+        assert!(a.waves.iter().enumerate().all(|(w, m)| m == &[w]));
+        assert_eq!(a.dependents(0).len(), n - 1);
+    }
+
+    /// Wave sizes of generated programs (the second is the benchmark's
+    /// 2000-binding document), pinned because every report's `waves`
+    /// count and the order of trace spans follow from the schedule.
+    #[test]
+    fn generated_programs_keep_their_wave_sizes() {
+        for (n, seed, sizes) in [
+            (480, 7, &[144, 88, 85, 65, 49, 24, 15, 8, 2][..]),
+            (
+                2000,
+                0,
+                &[574, 349, 321, 228, 160, 106, 91, 68, 33, 28, 24, 8, 6, 4],
+            ),
+        ] {
+            let a = std_analysis(&GenProgram::generate(n, seed).text());
+            let got: Vec<usize> = a.waves.iter().map(Vec::len).collect();
+            assert_eq!(got, sizes, "gen {n} {seed}");
+            // Each binding sits in exactly one wave, one past the latest
+            // wave among its dependencies (0 without any), and indices
+            // ascend within a wave.
+            let mut wave_of = vec![None; a.decls.len()];
+            for (w, members) in a.waves.iter().enumerate() {
+                assert!(members.windows(2).all(|p| p[0] < p[1]), "wave {w}");
+                for &i in members {
+                    assert_eq!(wave_of[i].replace(w), None, "binding {i} twice");
+                }
+            }
+            for (i, w) in wave_of.iter().enumerate() {
+                let w = w.unwrap_or_else(|| panic!("binding {i} in no wave"));
+                let want = a.deps[i]
+                    .iter()
+                    .map(|&d| wave_of[d].unwrap() + 1)
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(w, want, "gen {n} {seed}: binding {i}");
+            }
+        }
+    }
+
+    /// Snapshot files carry the epoch, document keys and Merkle keys;
+    /// these values were written by earlier builds, so changing how the
+    /// options are fingerprinted would orphan every existing snapshot.
+    #[test]
+    fn fingerprints_match_existing_snapshots() {
+        let src = "#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n";
+        let (std, pure) = (Options::default(), Options::pure_freezeml());
+        assert_eq!(crate::persist::epoch(&std), 0xa42b_45c9_c41c_5691);
+        assert_eq!(crate::persist::epoch(&pure), 0x1d7a_9299_24db_1eb0);
+        assert_eq!(doc_key(src, &std, EngineSel::Uf), 0x4086_7fdb_91fa_5920);
+        assert_eq!(
+            std_analysis(src).keys,
+            [0x069f_af02_e83f_4e50, 0xee16_9369_2b02_292c]
+        );
+        assert_eq!(
+            analyze(src, &pure, EngineSel::Both).unwrap().keys,
+            [0x7990_23f7_17b6_cab2, 0xe4fc_0917_8fd2_3537]
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! The parallel executor: a pool of workers, each owning reusable
-//! [`freezeml_engine::Session`]s, checking the dirty components of a
-//! program in topological waves.
+//! The executor: reusable [`freezeml_engine::Session`]s checking the
+//! dirty bindings of a program in topological waves.
 //!
-//! Scheduling is wave-by-wave over the condensation ([`crate::graph`]):
-//! all components in one wave are independent, so their bindings are
-//! checked concurrently on scoped threads — one worker per thread, each
-//! session handed off wholesale (the store is owned data, see the
-//! engine's `session_hands_off_across_threads` test). Within a pass:
+//! Scheduling is wave by wave over [`Analysis::waves`]. A wave's
+//! bindings are independent, so each is first classified — reused,
+//! blocked, or queued as a job — and the queued jobs then run in order
+//! on the caller's thread. Parallelism comes from sessions, not from
+//! waves: the socket server ([`crate::sock`]) gives every connection its
+//! own executor over one shared hub. Within a pass:
 //!
 //! * a binding whose cache key hits the scheme cache is **reused** (no
 //!   inference at all);
@@ -24,10 +24,6 @@
 use crate::db::{Analysis, DeclInfo, EngineSel, Outcome};
 use crate::fault::{self, Fault};
 use crate::shared::Shared;
-
-/// One inference job: a declaration index plus the scheme ids of its
-/// dependencies (resolved against the shared scheme bank).
-type Job = (usize, Vec<(Var, SchemeId)>);
 use freezeml_core::{Options, Span, Type, TypeEnv, Var};
 use freezeml_engine::differential::{class_of, types_equivalent};
 use freezeml_engine::{SchemeBank, SchemeId, Session};
@@ -35,9 +31,16 @@ use freezeml_obs::{NoTrace, Record, TraceCtx, TraceSink, Val};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// One worker: lazily-built engine sessions (with and without the
-/// Figure 2 prelude) plus the core-engine environments.
-pub struct Worker {
+/// One inference job: a declaration index plus the scheme ids of its
+/// dependencies (resolved against the shared scheme bank).
+type Job = (usize, Vec<(Var, SchemeId)>);
+
+/// The check-pass driver: lazily built engine sessions (with and
+/// without the Figure 2 prelude) plus the core-engine environments. The
+/// scheme bank and outcome cache it runs against live in the [`Shared`]
+/// hub, so many executors (one per connected session) share one scheme
+/// space.
+pub struct Executor {
     opts: Options,
     engine: EngineSel,
     /// Lazily interned sessions, keyed by "uses the prelude".
@@ -46,10 +49,13 @@ pub struct Worker {
     envs: [Option<TypeEnv>; 2],
 }
 
-impl Worker {
-    /// A fresh worker for the given configuration.
-    pub fn new(opts: Options, engine: EngineSel) -> Worker {
-        Worker {
+impl Executor {
+    /// An executor for the given configuration. The first argument, the
+    /// configured worker count, is not read: every pass runs on the
+    /// caller's thread (`--workers` sizes the socket server's session
+    /// pool instead).
+    pub fn new(_workers: usize, opts: Options, engine: EngineSel) -> Executor {
+        Executor {
             opts,
             engine,
             sessions: [None, None],
@@ -103,7 +109,7 @@ impl Worker {
     /// result leaves as a [`SchemeId`] export; no `core::Type` tree is
     /// built. The oracle paths (`core`, differential `both`) materialise
     /// trees, as befits the configuration whose job is cross-checking.
-    pub fn check(
+    fn check(
         &mut self,
         bank: &SchemeBank,
         use_prelude: bool,
@@ -114,7 +120,7 @@ impl Worker {
         match self.engine {
             EngineSel::Uf => {
                 // The bank is sharded and lock-internal: the session's
-                // inference never serialises on other workers, and the
+                // inference never serialises on other sessions, and the
                 // O(DAG) import/export crossings contend per shard only.
                 match self
                     .session(use_prelude)
@@ -173,9 +179,45 @@ impl Worker {
         }
         env
     }
+
+    /// Check one binding with panic containment: a panicking check
+    /// becomes an internal-error verdict for that binding, the sessions
+    /// are rebuilt (a panic mid-inference leaves them polluted), and the
+    /// wave — and the service — keep going. `inject` carries an armed
+    /// `infer.binding`/`infer.wave` failpoint: a `panic` fault panics
+    /// *inside* the contained region (exercising exactly the real-bug
+    /// path), `err`/`eof` short-circuit to an internal-error verdict, and
+    /// `delay` stalls the check.
+    fn check_contained(
+        &mut self,
+        bank: &SchemeBank,
+        use_prelude: bool,
+        decl: &DeclInfo,
+        deps: &[(Var, SchemeId)],
+        inject: Option<Fault>,
+    ) -> Outcome {
+        match inject {
+            Some(Fault::Err) | Some(Fault::Eof) => {
+                return internal_error(decl.name(), "injected fault (failpoint)");
+            }
+            _ => {}
+        }
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            match inject {
+                Some(Fault::Panic) => panic!("injected panic (failpoint)"),
+                Some(Fault::Delay(d)) => std::thread::sleep(d),
+                _ => {}
+            }
+            self.check(bank, use_prelude, decl, deps)
+        }));
+        result.unwrap_or_else(|payload| {
+            self.reset();
+            internal_error(decl.name(), panic_message(payload.as_ref()))
+        })
+    }
 }
 
-/// The `Outcome::Error` class reserved for contained worker panics —
+/// The `Outcome::Error` class reserved for contained checker panics —
 /// a checker bug surfaced as a per-binding verdict instead of a dead
 /// session. Never cached.
 pub const INTERNAL_ERROR_CLASS: &str = "Internal";
@@ -194,42 +236,6 @@ fn internal_error(name: &str, detail: &str) -> Outcome {
         class: INTERNAL_ERROR_CLASS.to_string(),
         message: format!("internal error while checking `{name}`: {detail}"),
     }
-}
-
-/// Check one binding with panic containment: a panicking check becomes
-/// an internal-error verdict for that binding, the worker's sessions are
-/// rebuilt (a panic mid-inference leaves them polluted), and the wave —
-/// and the service — keep going. `inject` carries an armed
-/// `infer.binding`/`infer.wave` failpoint: a `panic` fault panics
-/// *inside* the contained region (exercising exactly the real-bug
-/// path), `err`/`eof` short-circuit to an internal-error verdict, and
-/// `delay` stalls the check.
-fn check_contained(
-    w: &mut Worker,
-    bank: &SchemeBank,
-    use_prelude: bool,
-    decl: &DeclInfo,
-    deps: &[(Var, SchemeId)],
-    inject: Option<Fault>,
-) -> Outcome {
-    match inject {
-        Some(Fault::Err) | Some(Fault::Eof) => {
-            return internal_error(decl.name(), "injected fault (failpoint)");
-        }
-        _ => {}
-    }
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        match inject {
-            Some(Fault::Panic) => panic!("injected panic (failpoint)"),
-            Some(Fault::Delay(d)) => std::thread::sleep(d),
-            _ => {}
-        }
-        w.check(bank, use_prelude, decl, deps)
-    }));
-    result.unwrap_or_else(|payload| {
-        w.reset();
-        internal_error(decl.name(), panic_message(payload.as_ref()))
-    })
 }
 
 fn render(r: &Result<Type, freezeml_core::TypeError>) -> String {
@@ -293,9 +299,9 @@ pub struct CheckReport {
     pub rechecked: usize,
     /// Bindings served from the scheme cache.
     pub reused: usize,
-    /// Bindings not checked this pass: a failed or blocked dependency,
-    /// or membership in an (unsupported) recursive group. Every pass
-    /// satisfies `rechecked + reused + blocked == bindings.len()` — the
+    /// Bindings not checked this pass because a dependency failed or
+    /// was itself blocked. Every pass satisfies
+    /// `rechecked + reused + blocked == bindings.len()` — the
     /// accounting invariant the metrics registry carries forward.
     pub blocked: usize,
     /// Topological waves that ran at least one inference job.
@@ -303,6 +309,20 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
+    /// The report a perfectly warm pass over these verdicts produces:
+    /// every binding served from cache, no inference waves. It is the
+    /// form the document-report cache stores and persists, so a hit is
+    /// indistinguishable from a warm per-binding pass.
+    pub(crate) fn warm(bindings: Vec<BindingReport>) -> CheckReport {
+        CheckReport {
+            reused: bindings.len(),
+            bindings,
+            rechecked: 0,
+            blocked: 0,
+            waves: 0,
+        }
+    }
+
     /// Did every binding type-check?
     pub fn all_typed(&self) -> bool {
         self.bindings.iter().all(|b| b.outcome.is_typed())
@@ -322,53 +342,28 @@ impl CheckReport {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeadlineExceeded;
 
-/// The worker pool. The scheme bank and outcome cache it runs against
-/// live in the [`Shared`] hub, so many executors (one per connected
-/// session) share one scheme space.
-pub struct Executor {
-    workers: Vec<Worker>,
-}
-
 impl Executor {
-    /// A pool of `n` workers (at least one).
-    pub fn new(n: usize, opts: Options, engine: EngineSel) -> Executor {
-        Executor {
-            workers: (0..n.max(1)).map(|_| Worker::new(opts, engine)).collect(),
-        }
-    }
-
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// One check pass: walk the waves, reuse cache hits, block on failed
-    /// dependencies, and run the remaining jobs concurrently. Fresh
-    /// verdicts are written back to the shared cache (disagreements and
-    /// internal errors excepted — those are bugs and must never be
-    /// served warm). Worker panics are contained per binding
-    /// (`check_contained`); the executor and the hub survive them.
+    /// dependencies, and check the remaining jobs. Per-wave and
+    /// per-binding spans go to the hub's tracer. Fresh verdicts are
+    /// written back to the shared cache, except disagreements and
+    /// internal errors: those are checker bugs, never served warm.
+    /// Panics are contained per binding (`check_contained`); the
+    /// executor and the hub survive them.
     pub fn run(&mut self, a: &Analysis, shared: &Shared) -> CheckReport {
-        self.run_traced(a, shared, TraceCtx::default())
-    }
-
-    /// [`Executor::run`] with trace context: per-wave and per-binding
-    /// spans go to the hub's tracer. The body is monomorphised over the
-    /// sink ([`freezeml_obs::TraceSink`]'s `ENABLED` const), so with
-    /// tracing off this compiles to exactly the untraced executor — no
-    /// clock reads, no record construction.
-    pub fn run_traced(&mut self, a: &Analysis, shared: &Shared, ctx: TraceCtx) -> CheckReport {
-        self.run_budgeted(a, shared, ctx, None)
+        self.run_budgeted(a, shared, TraceCtx::default(), None)
             // lint: allow(unwrap) — run_budgeted only errs when a deadline is set; none is
             .expect("no deadline was set")
     }
 
-    /// [`Executor::run_traced`] under a time budget: the deadline is
-    /// checked **at wave boundaries** (a wave's jobs, once dispatched,
-    /// run to completion — inference is not preemptible), so an
+    /// [`Executor::run`] with trace context, under a time budget: the
+    /// deadline is checked **at wave boundaries** (inference is not
+    /// preemptible, so a wave once started runs to completion), and an
     /// exhausted budget abandons the pass before the next wave starts.
     /// Completed verdicts stay cached; the hub's `deadline_exceeded`
-    /// counter records the abandonment.
+    /// counter records the abandonment. The body is monomorphised over
+    /// the sink ([`freezeml_obs::TraceSink`]'s `ENABLED` const), so with
+    /// tracing off it makes no clock reads and builds no records.
     pub fn run_budgeted(
         &mut self,
         a: &Analysis,
@@ -391,7 +386,6 @@ impl Executor {
         deadline: Option<Instant>,
     ) -> Result<CheckReport, DeadlineExceeded> {
         let n = a.decls.len();
-        let use_prelude = a.uses_prelude;
         let bank = shared.bank();
         let cache = shared.cache();
         let metrics = shared.metrics();
@@ -402,8 +396,12 @@ impl Executor {
         let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
         let (mut rechecked, mut reused, mut blocked) = (0usize, 0usize, 0usize);
         let mut waves = 0usize;
+        // A wave's cache misses, all queued before the first one runs:
+        // two identical bindings in one wave are therefore both
+        // rechecked, never the second served from the first's verdict.
+        let mut jobs: Vec<Job> = Vec::new();
 
-        for (wave_no, wave) in a.cond.waves.iter().enumerate() {
+        for (wave_no, wave) in a.waves.iter().enumerate() {
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     metrics.deadline_exceeded.inc();
@@ -413,7 +411,7 @@ impl Executor {
             // `infer.wave` failpoint: `delay` stalls the scheduler here
             // (where the deadline will catch it next wave); any other
             // fault is injected into every job of the wave, contained
-            // per binding like a real worker bug.
+            // per binding like a real checker bug.
             let wave_inject = if faults_on {
                 match fault::hit_counted("infer.wave", metrics) {
                     Some(Fault::Delay(d)) => {
@@ -430,26 +428,7 @@ impl Executor {
             } else {
                 None
             };
-            let mut jobs: Vec<Job> = Vec::new();
-            for &c in wave {
-                let members = &a.cond.comps[c];
-                if members.len() > 1 {
-                    // Unreachable through the current surface (resolution
-                    // points backwards), but the scheduler stays honest.
-                    let names: Vec<&str> = members.iter().map(|&i| a.decls[i].name()).collect();
-                    for &i in members {
-                        outcomes[i] = Some(Outcome::Error {
-                            class: "RecursiveBinding".to_string(),
-                            message: format!(
-                                "recursive binding group {{{}}} is not supported",
-                                names.join(", ")
-                            ),
-                        });
-                    }
-                    blocked += members.len();
-                    continue;
-                }
-                let i = members[0];
+            for &i in wave {
                 if let Some(bad) = a.deps[i]
                     .iter()
                     .find(|&&d| !outcomes[d].as_ref().is_some_and(Outcome::is_typed))
@@ -483,31 +462,14 @@ impl Executor {
             waves += 1;
             let job_count = jobs.len();
             rechecked += job_count;
-
-            let k = self.workers.len().min(jobs.len());
-            let mut chunks: Vec<Vec<Job>> = (0..k).map(|_| Vec::new()).collect();
-            for (j, job) in jobs.into_iter().enumerate() {
-                chunks[j % k].push(job);
-            }
-            // Declaration indices per chunk, kept on this side of the
-            // spawn: if a worker thread dies anyway (a panic escaping
-            // the per-binding containment), its chunk's bindings resolve
-            // to internal errors instead of poisoning the whole pass.
-            let chunk_idxs: Vec<Vec<usize>> = chunks
-                .iter()
-                .map(|c| c.iter().map(|j| j.0).collect())
-                .collect();
-            let decls = &a.decls;
-            // One binding, as every worker checks it: the
-            // `infer.binding` failpoint, containment, and its span.
-            let check = |w: &mut Worker, (i, env): Job| {
+            for (i, env) in jobs.drain(..) {
                 let t0 = S::ENABLED.then(Instant::now);
                 let inject = wave_inject.or_else(|| {
                     faults_on
                         .then(|| fault::hit_counted("infer.binding", metrics))
                         .flatten()
                 });
-                let o = check_contained(w, bank, use_prelude, &decls[i], &env, inject);
+                let o = self.check_contained(bank, a.uses_prelude, &a.decls[i], &env, inject);
                 if let Some(t0) = t0 {
                     sink.emit(
                         &Record::new("span", "infer")
@@ -517,53 +479,7 @@ impl Executor {
                             .dur(t0.elapsed()),
                     );
                 }
-                (i, o)
-            };
-            let results: Vec<(usize, Outcome)> = if k == 1 {
-                let w = &mut self.workers[0];
-                chunks
-                    .pop()
-                    // lint: allow(unwrap) — k == 1 guarantees exactly one chunk
-                    .expect("k == 1")
-                    .into_iter()
-                    .map(|job| check(w, job))
-                    .collect()
-            } else {
-                let check = &check;
-                let joined: Vec<std::thread::Result<Vec<(usize, Outcome)>>> =
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = self
-                            .workers
-                            .iter_mut()
-                            .zip(chunks)
-                            .map(|(w, chunk)| {
-                                s.spawn(move || {
-                                    chunk.into_iter().map(|job| check(w, job)).collect()
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join()).collect()
-                    });
-                let mut out = Vec::new();
-                for (wi, (res, idxs)) in joined.into_iter().zip(chunk_idxs).enumerate() {
-                    match res {
-                        Ok(v) => out.extend(v),
-                        Err(payload) => {
-                            let msg = panic_message(payload.as_ref()).to_string();
-                            self.workers[wi].reset();
-                            out.extend(
-                                idxs.into_iter()
-                                    .map(|i| (i, internal_error(decls[i].name(), &msg))),
-                            );
-                        }
-                    }
-                }
-                out
-            };
-            for (i, o) in results {
-                let uncacheable = matches!(o, Outcome::Disagreement { .. })
-                    || matches!(&o, Outcome::Error { class, .. } if class == INTERNAL_ERROR_CLASS);
-                if !uncacheable {
+                if o.cacheable() {
                     cache.insert(a.keys[i], o.clone());
                 }
                 outcomes[i] = Some(o);
@@ -611,7 +527,7 @@ mod tests {
 
     fn check(src: &str, engine: EngineSel) -> CheckReport {
         let a = analyze(src, &Options::default(), engine).unwrap();
-        Executor::new(2, Options::default(), engine).run(&a, &Shared::new())
+        Executor::new(1, Options::default(), engine).run(&a, &Shared::new())
     }
 
     #[test]
@@ -683,6 +599,70 @@ mod tests {
     }
 
     #[test]
+    fn identical_bindings_in_one_wave_are_both_rechecked() {
+        // Both copies share one Merkle key, but a wave's jobs are all
+        // queued before the first runs, so the second is not served
+        // from the first's fresh verdict.
+        let src = "let x = 1;;\nlet x = 1;;\n";
+        let a = analyze(src, &Options::default(), EngineSel::Uf).unwrap();
+        assert_eq!(a.waves, vec![vec![0, 1]]);
+        assert_eq!(a.keys[0], a.keys[1]);
+        let shared = Shared::new();
+        let mut exec = Executor::new(1, Options::default(), EngineSel::Uf);
+        let cold = exec.run(&a, &shared);
+        assert_eq!((cold.rechecked, cold.reused, cold.waves), (2, 0, 1));
+        let warm = exec.run(&a, &shared);
+        assert_eq!((warm.rechecked, warm.reused, warm.waves), (0, 2, 0));
+    }
+
+    #[test]
+    fn a_warm_report_matches_a_fully_cached_pass() {
+        let src = "#use prelude\nlet a = 1;;\nlet b = plus a 1;;\nlet c = single id;;\n";
+        let a = analyze(src, &Options::default(), EngineSel::Uf).unwrap();
+        let shared = Shared::new();
+        let mut exec = Executor::new(1, Options::default(), EngineSel::Uf);
+        let cold = exec.run(&a, &shared);
+        let pass = exec.run(&a, &shared);
+        let warm = CheckReport::warm(cold.bindings);
+        assert_eq!(
+            (warm.rechecked, warm.reused, warm.blocked, warm.waves),
+            (pass.rechecked, pass.reused, pass.blocked, pass.waves)
+        );
+        let shown = |r: &CheckReport| -> Vec<(String, String)> {
+            r.bindings
+                .iter()
+                .map(|b| (b.name.clone(), b.outcome.display()))
+                .collect()
+        };
+        assert_eq!(shown(&warm), shown(&pass));
+    }
+
+    #[test]
+    fn only_checker_bugs_are_never_cached() {
+        let r = check(
+            "let ok = 1;;\nlet bad = 1 1;;\nlet child = bad;;\n",
+            EngineSel::Uf,
+        );
+        for b in &r.bindings {
+            assert!(b.outcome.cacheable(), "{}: {:?}", b.name, b.outcome);
+        }
+        assert!(matches!(
+            r.binding("bad").unwrap().outcome,
+            Outcome::Error { .. }
+        ));
+        assert!(matches!(
+            r.binding("child").unwrap().outcome,
+            Outcome::Blocked { .. }
+        ));
+        assert!(!internal_error("x", "boom").cacheable());
+        let split = Outcome::Disagreement {
+            core: "Int".into(),
+            uf: "Bool".into(),
+        };
+        assert!(!split.cacheable());
+    }
+
+    #[test]
     fn an_edit_rechecks_exactly_the_dirty_cone() {
         let src = "#use prelude\n\
             let base = 1;;\n\
@@ -691,7 +671,7 @@ mod tests {
             let top = plus l r;;\n\
             let lone = 7;;\n";
         let shared = Shared::new();
-        let mut exec = Executor::new(2, Options::default(), EngineSel::Uf);
+        let mut exec = Executor::new(1, Options::default(), EngineSel::Uf);
         let a = analyze(src, &Options::default(), EngineSel::Uf).unwrap();
         exec.run(&a, &shared);
         // Edit `l`: dirties l and top; base, r, lone stay cached.

@@ -11,16 +11,17 @@
 //! * **surface** — programs (`let x = M;;` sequences with `#use prelude`
 //!   and span-carrying diagnostics) come from [`freezeml_core::program`];
 //! * [`db`] — the program database: bindings keyed by content hash, a
-//!   free-variable dependency graph with SCC condensation ([`graph`]),
+//!   free-variable dependency graph levelled into topological waves,
 //!   and Merkle-style cache keys so an edit invalidates *exactly* the
 //!   dirty binding and its transitive dependents. FreezeML's principal
 //!   types (paper Theorem 7) are what make per-binding scheme caching
 //!   sound: a binding's scheme is a function of its text and its
 //!   dependencies' schemes, nothing else;
-//! * [`exec`] — the parallel executor: a pool of workers, each holding a
-//!   reusable [`freezeml_engine::Session`], checking independent dirty
-//!   components concurrently in topological waves (`ENGINE=core|uf|both`
-//!   respected, `both` = per-binding differential agreement);
+//! * [`exec`] — the executor: reusable [`freezeml_engine::Session`]s
+//!   checking a document's dirty bindings wave by wave on the calling
+//!   session's thread (`ENGINE=core|uf|both` respected, `both` =
+//!   per-binding differential agreement); concurrency comes from
+//!   sessions, each with its own executor over one shared hub ([`sock`]);
 //! * [`protocol`] / [`server`] — a line-oriented JSON protocol
 //!   (`open` / `edit` / `check` / `type-of` / `close`, plus the
 //!   [`stats`] introspection pair `stats` / `metrics`) served over
@@ -47,7 +48,6 @@
 pub mod db;
 pub mod exec;
 pub mod fault;
-pub mod graph;
 pub mod hash;
 pub mod load;
 pub mod persist;
@@ -63,7 +63,7 @@ pub use db::{
     analyze, analyze_cached, analyze_cached_traced, doc_key, doc_verify, Analysis, EngineSel,
     Frontend, Outcome,
 };
-pub use exec::{BindingReport, CheckReport, DeadlineExceeded, Executor, Worker};
+pub use exec::{BindingReport, CheckReport, DeadlineExceeded, Executor};
 pub use fault::{Fault, FAILPOINTS_ENV};
 pub use freezeml_engine::SchemeId;
 pub use load::{backoff_ms, replay, GenProgram, ReplayStats};

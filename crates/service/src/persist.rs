@@ -50,7 +50,7 @@
 //! when a snapshot would exceed `--max-cache-bytes` the oldest
 //! (untouched-longest) entries are evicted from the file *and* the hub.
 
-use crate::db::Outcome;
+use crate::db::{self, Outcome};
 use crate::exec::{BindingReport, CheckReport};
 use crate::fault;
 use crate::hash::Hasher64;
@@ -114,11 +114,7 @@ pub fn epoch(opts: &Options) -> u64 {
     let mut h = Hasher64::new();
     h.write_u64(u64::from(FORMAT_VERSION));
     h.write_str(env!("CARGO_PKG_VERSION"));
-    h.write_u64(u64::from(opts.value_restriction));
-    h.write_u64(match opts.instantiation {
-        freezeml_core::InstantiationStrategy::Variable => 0,
-        freezeml_core::InstantiationStrategy::Eliminator => 1,
-    });
+    db::write_options(&mut h, opts);
     h.finish()
 }
 
@@ -966,15 +962,8 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
             })
             .collect();
         if let Some(bindings) = restored {
-            let n = bindings.len();
-            let report = CheckReport {
-                bindings,
-                rechecked: 0,
-                reused: n,
-                blocked: 0,
-                waves: 0,
-            };
-            shared.insert_doc_report_with_gen(*key, *verify, Arc::new(report), *gen);
+            let report = Arc::new(CheckReport::warm(bindings));
+            shared.insert_doc_report_with_gen(*key, *verify, report, *gen);
             out.docs += 1;
         }
     }

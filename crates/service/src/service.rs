@@ -1,7 +1,7 @@
 //! The long-lived service: named documents, incremental rechecking, and
 //! the shared scheme cache.
 //!
-//! A [`Service`] owns the worker pool ([`crate::exec::Executor`]) and one
+//! A [`Service`] owns an executor ([`crate::exec::Executor`]) and one
 //! scheme cache shared by every document — keys fingerprint the binding,
 //! its transitive dependencies, and the checker configuration
 //! ([`crate::db`]), so sharing is sound and lets documents with common
@@ -24,7 +24,7 @@
 //! ```
 
 use crate::db::{analyze_cached_traced, doc_key, doc_verify, Analysis, EngineSel, Outcome};
-use crate::exec::{BindingReport, CheckReport, Executor, INTERNAL_ERROR_CLASS};
+use crate::exec::{BindingReport, CheckReport, Executor};
 use crate::persist::{self, LoadOutcome, PersistConfig, SaveOutcome};
 use crate::shared::Shared;
 use crate::sync::Arc;
@@ -42,7 +42,9 @@ pub struct ServiceConfig {
     pub opts: Options,
     /// Engine selection (`core`, `uf`, or differential `both`).
     pub engine: EngineSel,
-    /// Worker-pool size (clamped to at least 1).
+    /// The session threads `freezeml serve --socket` runs (`--workers`,
+    /// at least one). The executor does not read it: every check pass
+    /// runs on its session's own thread.
     pub workers: usize,
 }
 
@@ -109,31 +111,6 @@ impl Document {
             analyze_cached_traced(&mut frontend, &self.text, opts, engine, &tracer, ctx)
         })
     }
-}
-
-/// A document report recast as what a fully warm pass would produce:
-/// every binding served from cache, no inference waves. This is the
-/// form the document-report cache stores, so a hit is indistinguishable
-/// from a perfectly warm per-binding pass.
-fn warmed(report: &CheckReport) -> CheckReport {
-    CheckReport {
-        bindings: report.bindings.clone(),
-        rechecked: 0,
-        reused: report.bindings.len(),
-        blocked: 0,
-        waves: 0,
-    }
-}
-
-/// May this report be served to other sessions? Same rule as the
-/// per-binding cache: disagreements and internal errors are checker
-/// bugs and must never be cached.
-fn report_cacheable(report: &CheckReport) -> bool {
-    report.bindings.iter().all(|b| match &b.outcome {
-        Outcome::Disagreement { .. } => false,
-        Outcome::Error { class, .. } => class != INTERNAL_ERROR_CLASS,
-        _ => true,
-    })
 }
 
 /// Fold a produced or served report into the hub's metrics registry —
@@ -262,18 +239,29 @@ impl Service {
         &self.shared
     }
 
+    /// The document-report cache key of `text` under this configuration,
+    /// with its verification digest.
+    fn doc_id(&self, text: &str) -> (u64, u64) {
+        (
+            doc_key(text, &self.cfg.opts, self.cfg.engine),
+            doc_verify(text),
+        )
+    }
+
+    /// One document-report cache probe (a `cache-probe` span).
+    fn probe(&self, (dkey, dverify): (u64, u64)) -> Option<Arc<CheckReport>> {
+        let _sp = self.shared.tracer().span("cache-probe", self.ctx);
+        self.shared.doc_report(dkey, dverify)
+    }
+
     fn set_text(&mut self, doc: &str, text: &str) -> Result<&CheckReport, ServiceError> {
         // Document-report fast path: a text already checked under this
         // configuration — by this session, another session on the hub,
         // or a previous process via the persisted cache — is served
         // without parsing, analysing, or scheduling anything.
-        let dkey = doc_key(text, &self.cfg.opts, self.cfg.engine);
-        let probed = {
-            let _sp = self.shared.tracer().span("cache-probe", self.ctx);
-            self.shared.doc_report(dkey, doc_verify(text))
-        };
-        if let Some(report) = probed {
-            note_report(self.shared.metrics(), &report);
+        let id = self.doc_id(text);
+        let hit = self.probe(id);
+        if hit.is_some() {
             let entry = self.docs.entry(doc.to_string()).or_insert(Document {
                 text: String::new(),
                 analysis: OnceCell::new(),
@@ -283,9 +271,7 @@ impl Service {
                 entry.text = text.to_string();
                 entry.analysis = OnceCell::new();
             }
-            entry.report = Some(report);
-            // lint: allow(unwrap) — stored on the line above
-            return Ok(entry.report.as_deref().expect("just stored"));
+            return self.serve(doc, id, hit);
         }
         let analyzed = {
             let tracer = self.shared.tracer().clone();
@@ -311,7 +297,7 @@ impl Service {
                         report: None,
                     },
                 );
-                self.check(doc)
+                self.serve(doc, id, None)
             }
             Err(e) => {
                 // Last-good-state serving: a text that does not parse is
@@ -329,6 +315,44 @@ impl Service {
                 Err(ServiceError::Parse(e))
             }
         }
+    }
+
+    /// Give `doc` its report: `hit` when the document-report cache
+    /// served one, else a check pass over the document's analysis,
+    /// recorded in that cache under `id` when every verdict in it may
+    /// be served warm.
+    fn serve(
+        &mut self,
+        doc: &str,
+        (dkey, dverify): (u64, u64),
+        hit: Option<Arc<CheckReport>>,
+    ) -> Result<&CheckReport, ServiceError> {
+        let entry = self
+            .docs
+            .get_mut(doc)
+            .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
+        let report = match hit {
+            Some(report) => report,
+            None => {
+                let a = entry
+                    .analyzed(&self.shared, &self.cfg.opts, self.cfg.engine, self.ctx)
+                    .as_ref()
+                    .map_err(|e| ServiceError::Parse(e.clone()))?;
+                let report = self
+                    .exec
+                    .run_budgeted(a, &self.shared, self.ctx, self.deadline)
+                    .map_err(|_| ServiceError::Deadline)?;
+                if report.bindings.iter().all(|b| b.outcome.cacheable()) {
+                    let warm = CheckReport::warm(report.bindings.clone());
+                    self.shared.record_doc_report(dkey, dverify, Arc::new(warm));
+                }
+                Arc::new(report)
+            }
+        };
+        note_report(self.shared.metrics(), &report);
+        entry.report = Some(report);
+        // lint: allow(unwrap) — stored on the line above
+        Ok(entry.report.as_deref().expect("just stored"))
     }
 
     /// Open (or replace) a document and check it.
@@ -363,37 +387,11 @@ impl Service {
     pub fn check(&mut self, doc: &str) -> Result<&CheckReport, ServiceError> {
         let entry = self
             .docs
-            .get_mut(doc)
+            .get(doc)
             .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
-        let dkey = doc_key(&entry.text, &self.cfg.opts, self.cfg.engine);
-        let dverify = doc_verify(&entry.text);
-        let probed = {
-            let _sp = self.shared.tracer().span("cache-probe", self.ctx);
-            self.shared.doc_report(dkey, dverify)
-        };
-        if let Some(report) = probed {
-            note_report(self.shared.metrics(), &report);
-            entry.report = Some(report);
-            // lint: allow(unwrap) — stored on the line above
-            return Ok(entry.report.as_deref().expect("just stored"));
-        }
-        match entry.analyzed(&self.shared, &self.cfg.opts, self.cfg.engine, self.ctx) {
-            Err(e) => Err(ServiceError::Parse(e.clone())),
-            Ok(a) => {
-                let report = self
-                    .exec
-                    .run_budgeted(a, &self.shared, self.ctx, self.deadline)
-                    .map_err(|_| ServiceError::Deadline)?;
-                note_report(self.shared.metrics(), &report);
-                if report_cacheable(&report) {
-                    self.shared
-                        .record_doc_report(dkey, dverify, Arc::new(warmed(&report)));
-                }
-                entry.report = Some(Arc::new(report));
-                // lint: allow(unwrap) — stored on the line above
-                Ok(entry.report.as_deref().expect("just stored"))
-            }
-        }
+        let id = self.doc_id(&entry.text);
+        let hit = self.probe(id);
+        self.serve(doc, id, hit)
     }
 
     /// The latest report for a document, if it has been checked.

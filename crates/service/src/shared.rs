@@ -39,7 +39,7 @@ use freezeml_obs::lockrank;
 use freezeml_obs::{Registry, Tracer};
 
 /// Stripe count for the outcome cache. Matches the scheme bank's shard
-/// count — plenty of lock granularity for a worker pool.
+/// count — plenty of lock granularity for a pool of session threads.
 const STRIPES: usize = 16;
 
 /// One cached verdict plus its last-touched generation.
@@ -48,8 +48,8 @@ struct Slot {
     gen: u64,
 }
 
-/// The outcome cache, striped by cache key so concurrent sessions'
-/// workers don't serialise on one map lock. Keys are the Merkle
+/// The outcome cache, striped by cache key so concurrent sessions don't
+/// serialise on one map lock. Keys are the Merkle
 /// fingerprints from [`crate::db`] (already avalanche-mixed, so the low
 /// bits are uniform stripe selectors).
 pub struct StripedCache {

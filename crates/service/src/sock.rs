@@ -10,10 +10,10 @@
 //!
 //! Concurrency model: with the hub sharded and striped, parallelism
 //! comes from *sessions*, not from waves — each connection's executor
-//! runs single-worker, and `--max-sessions N` (default `--workers`) on
-//! the CLI sizes the session pool. N clients therefore check N
-//! documents genuinely concurrently, interning into the scheme bank
-//! without a global lock.
+//! checks its waves on the session thread, and `--workers N` on the CLI
+//! sizes the session pool. N clients therefore check N documents
+//! genuinely concurrently, interning into the scheme bank without a
+//! global lock.
 //!
 //! ## Overload behavior
 //!
@@ -277,12 +277,6 @@ pub struct SocketServer {
     unlink: Option<PathBuf>,
 }
 
-/// The per-session service configuration: parallelism comes from the
-/// session pool, so each session's wave executor runs single-worker.
-fn session_cfg(cfg: ServiceConfig) -> ServiceConfig {
-    ServiceConfig { workers: 1, ..cfg }
-}
-
 fn session_thread(
     rx: Arc<lockrank::Mutex<Receiver<Stream>>>,
     gate: Arc<Gate>,
@@ -455,7 +449,6 @@ impl SocketServer {
             "service.sock.session_rx",
             rx,
         ));
-        let cfg = session_cfg(cfg);
         let sessions: Vec<JoinHandle<()>> = (0..sessions.max(1))
             .map(|_| {
                 let rx = Arc::clone(&rx);

@@ -379,20 +379,38 @@ mod tests {
         })
     }
 
+    /// The requests [`warmed_service`] answers: open a two-binding
+    /// document, check it, ask for a type.
+    const WARMING: [&str; 3] = [
+        r##"{"cmd":"open","doc":"m","text":"#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n"}"##,
+        r#"{"cmd":"check","doc":"m"}"#,
+        r#"{"cmd":"type-of","doc":"m","name":"f"}"#,
+    ];
+
     fn warmed_service() -> Service {
         let mut s = uf_service();
-        handle_line(
-            &mut s,
-            r##"{"cmd":"open","doc":"m","text":"#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n"}"##,
-        );
-        handle_line(&mut s, r#"{"cmd":"check","doc":"m"}"#);
-        handle_line(&mut s, r#"{"cmd":"type-of","doc":"m","name":"f"}"#);
+        for line in WARMING {
+            handle_line(&mut s, line);
+        }
         s
     }
 
     #[test]
     fn stats_json_reports_commands_reports_and_caches() {
-        let s = warmed_service();
+        let mut s = uf_service();
+        let doc_probes = |s: &Service| {
+            let v = stats_json(s.shared());
+            let doc = v.get("caches").and_then(|c| c.get("doc")).unwrap();
+            let n = |k| doc.get(k).and_then(Json::as_num).unwrap();
+            (n("hits"), n("misses"))
+        };
+        // One document-report probe per request: the open misses once,
+        // and the check that follows hits.
+        handle_line(&mut s, WARMING[0]);
+        assert_eq!(doc_probes(&s), (0.0, 1.0), "after open");
+        handle_line(&mut s, WARMING[1]);
+        assert_eq!(doc_probes(&s), (1.0, 1.0), "after check");
+        handle_line(&mut s, WARMING[2]);
         let v = stats_json(s.shared());
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         let reports = v.get("reports").expect("reports object");

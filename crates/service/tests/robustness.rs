@@ -5,7 +5,7 @@
 //! the session, and (with the old single global scheme-arena mutex)
 //! poisoned the scheme space for every *other* session sharing it. Now
 //! panics are caught at the wave boundary, the binding is reported as an
-//! `Internal` error, the worker's session state is discarded, and the
+//! `Internal` error, the executor's session state is discarded, and the
 //! hub keeps answering.
 //!
 //! The deliberate panic is injected with the `infer.binding=panic`
@@ -103,8 +103,9 @@ fn a_panicking_binding_is_an_internal_error_not_a_crash() {
             .collect::<Vec<_>>()
     );
 
-    // ── Multi-worker: a panic on one worker thread does not kill the
-    // wave running on the others, and the worker pool survives.
+    // ── A wide wave under a configured worker count of four, which the
+    // executor does not read: the panic on one binding of a 13-binding
+    // wave leaves the other twelve checked, and the executor survives.
     fault::install("infer.binding=panic:1").unwrap();
     let mut svc = Service::new(cfg(4));
     let text: String = (0..12)
@@ -113,8 +114,7 @@ fn a_panicking_binding_is_an_internal_error_not_a_crash() {
         .collect();
     let report = svc.open("m", &text).expect("contained again");
     assert_eq!(internal_errors(report).len(), 1);
-    // Which binding the panic lands on depends on which worker reaches
-    // the failpoint first, so ask about one that was not hit.
+    // Ask about a binding the panic did not land on.
     let typed: Vec<&str> = report
         .bindings
         .iter()

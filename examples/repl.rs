@@ -183,7 +183,7 @@ fn edit_report(response: &Json) -> Result<EditReport, String> {
 }
 
 enum Backend {
-    Local { svc: Service, opened: bool },
+    Local { svc: Box<Service>, opened: bool },
     Remote(Remote),
 }
 
@@ -251,11 +251,11 @@ impl Repl {
     fn new(engine: EngineSel, opts: Options) -> Repl {
         let mut repl = Repl {
             backend: Backend::Local {
-                svc: Service::new(ServiceConfig {
+                svc: Box::new(Service::new(ServiceConfig {
                     opts,
                     engine,
-                    workers: 2,
-                }),
+                    workers: 1,
+                })),
                 opened: false,
             },
             engine,

@@ -30,9 +30,9 @@
 //!   histograms, and the data behind the service's `stats` / `metrics`
 //!   protocol commands.
 //! * [`service`] — the incremental, parallel program-checking service:
-//!   a program database (content-hashed bindings, dependency SCCs,
-//!   Merkle-keyed scheme cache), a worker pool of engine sessions
-//!   checking dirty components in topological waves, and the
+//!   a program database (content-hashed bindings, topological waves,
+//!   Merkle-keyed scheme cache), an executor of engine sessions
+//!   checking dirty bindings wave by wave, and the
 //!   line-oriented JSON protocol the `freezeml` binary serves over
 //!   stdin/stdout.
 //! * [`hmf`] — an HMF-style baseline checker (Leijen 2008, simplified),

@@ -38,8 +38,10 @@
 //!
 //! options (before the subcommand arguments):
 //!   --engine core|uf|both       inference engine (default: $ENGINE or uf)
-//!   --workers N                 worker-pool size (default: CPU count, ≤ 8);
-//!                               under --socket: session-thread count
+//!   --workers N                 (serve --socket) session-thread count
+//!                               (default: CPU count, ≤ 8); no effect
+//!                               elsewhere, since every check runs on its
+//!                               session's own thread
 //!   --pure                      disable the value restriction
 //!   --socket ADDR               (serve) listen on a socket instead of stdio
 //!   --max-request-bytes N       (serve) per-line request cap (default 4 MiB)
@@ -68,8 +70,6 @@
 //!                               to wait for a session thread; excess arrivals
 //!                               are shed with a structured `overloaded` error
 //!                               and a retry-after-ms hint (default 64)
-//!   --max-sessions N            (serve --socket) session-thread count
-//!                               (default: --workers)
 //!   --drain-secs N              (serve --socket) on SIGTERM/SIGINT or the
 //!                               protocol `shutdown` command, stop accepting,
 //!                               finish in-flight requests for up to N s, take
@@ -109,7 +109,6 @@ struct Args {
     /// off on stdio, [`DEFAULT_SOCKET_TIMEOUT_MS`] on sockets).
     request_timeout_ms: Option<u64>,
     max_pending: Option<usize>,
-    max_sessions: Option<usize>,
     drain_secs: u64,
     cmd: String,
     rest: Vec<String>,
@@ -154,8 +153,7 @@ fn usage() -> ExitCode {
         "usage: freezeml [--engine core|uf|both] [--workers N] [--pure] \
          [--socket ADDR] [--max-request-bytes N] [--trace FILE] [--slow-ms N] \
          [--cache-dir DIR] [--max-cache-bytes N] [--checkpoint-secs N] \
-         [--request-timeout-ms N] [--max-pending N] [--max-sessions N] \
-         [--drain-secs N] \
+         [--request-timeout-ms N] [--max-pending N] [--drain-secs N] \
          [serve | check FILE… | elaborate FILE… | replay PATH… | gen N [SEED] | \
          bench-json [MS] | stats --connect ADDR [--metrics]]"
     );
@@ -184,7 +182,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut trace: Option<String> = None;
     let mut request_timeout_ms: Option<u64> = None;
     let mut max_pending: Option<usize> = None;
-    let mut max_sessions: Option<usize> = None;
     let mut drain_secs = 10u64;
     while let Some(w) = words.next() {
         match w.as_str() {
@@ -257,15 +254,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                         .ok_or_else(usage)?,
                 );
             }
-            "--max-sessions" => {
-                max_sessions = Some(
-                    words
-                        .next()
-                        .and_then(|n| n.parse().ok())
-                        .filter(|&n| n > 0)
-                        .ok_or_else(usage)?,
-                );
-            }
             "--drain-secs" => {
                 drain_secs = words
                     .next()
@@ -289,7 +277,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         trace,
         request_timeout_ms,
         max_pending,
-        max_sessions,
         drain_secs,
         cmd: cmd.unwrap_or_else(|| "serve".to_string()),
         rest,
@@ -331,7 +318,7 @@ fn report_load(out: &LoadOutcome) {
 /// `host:port` otherwise.
 fn cmd_serve_socket(args: &Args, addr: &str, tracer: Option<Tracer>) -> ExitCode {
     let cfg = args.cfg;
-    let sessions = args.max_sessions.unwrap_or(cfg.workers).max(1);
+    let sessions = cfg.workers.max(1);
     // Per-request deadlines default ON over sockets (a remote client
     // can stall; stdin cannot hang up the same way). 0 disables.
     let opts = ServeOptions {

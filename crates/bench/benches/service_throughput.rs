@@ -12,6 +12,17 @@
 //!   from the scheme cache (this is the ≥10× headline; see
 //!   `EXPERIMENTS.md` for recorded numbers and the recheck-counter
 //!   assertions in `crates/service/tests/throughput.rs`);
+//! * `service/proto/warm-edit/<n>` — the same edit sent as a protocol
+//!   line, in process: the client's request encoding, `handle_line`
+//!   (decode, edit, report) and the response encoding into a reused
+//!   buffer, with no socket and no sleeps. Against
+//!   `service/warm-edit/<n>` it prices the protocol boundary;
+//! * `service/proto/check/<n>` — a `check` line on an unchanged
+//!   document: a document-report cache hit, so the row is almost all
+//!   report building and encoding;
+//! * `service/proto/decode/<64K|1M>` — an `edit` line of that many
+//!   bytes of program text for a document that is not open: decoding
+//!   the line is the work, the answer is a short error;
 //! * `service/workers/<k>` — a socket server with `k` session threads
 //!   under a fixed closed-loop client roster (`freezeml_service::load`'s
 //!   `LoadMix`: concurrent clients driving an
@@ -46,9 +57,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use freezeml_core::Options;
 use freezeml_service::{
+    handle_line,
     load::{drive_tcp, LoadMix},
-    persist, EngineSel, GenProgram, PersistConfig, ServeOptions, Service, ServiceConfig, Shared,
-    SocketServer,
+    persist, EngineSel, GenProgram, PersistConfig, Request, ServeOptions, Service, ServiceConfig,
+    Shared, SocketServer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,7 +100,7 @@ fn bench_warm_edit(c: &mut Criterion) {
     group
         .measurement_time(Duration::from_secs(2))
         .sample_size(20);
-    for n in [30usize, 120, 480] {
+    for n in [30usize, 120, 480, 4000] {
         let gen = GenProgram::generate(n, SEED);
         let original = gen.text();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
@@ -106,6 +118,71 @@ fn bench_warm_edit(c: &mut Criterion) {
                 assert!(r.rechecked > 0, "the edit must dirty something");
                 r.rechecked
             });
+        });
+    }
+    group.finish();
+}
+
+/// One protocol round trip in process: `handle_line`, then the response
+/// encoded into `out` the way the serving loop does it.
+fn round_trip(svc: &mut Service, line: &str, out: &mut String) -> usize {
+    out.clear();
+    handle_line(svc, line).write_to(out);
+    out.push('\n');
+    out.len()
+}
+
+fn bench_proto(c: &mut Criterion) {
+    let mut group = c.benchmark_group("service/proto");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .sample_size(20);
+    let mut out = String::new();
+    for n in [480usize, 4000] {
+        let gen = GenProgram::generate(n, SEED);
+        let mut svc = service(1);
+        svc.open("bench", &gen.text()).expect("parses");
+        // As in `service/warm-edit`: a fresh salt per iteration makes
+        // every timed edit a genuine edit.
+        let mut salt = 0u64;
+        let mut line = String::new();
+        group.bench_with_input(BenchmarkId::new("warm-edit", n), &n, |b, _| {
+            b.iter(|| {
+                salt += 1;
+                line.clear();
+                Request::Edit {
+                    doc: "bench".into(),
+                    text: gen.edited_text(n / 2, salt),
+                }
+                .to_json()
+                .write_to(&mut line);
+                round_trip(&mut svc, &line, &mut out)
+            });
+        });
+        let line = Request::Check {
+            doc: "bench".into(),
+        }
+        .to_json()
+        .to_string();
+        group.bench_with_input(BenchmarkId::new("check", n), &n, |b, _| {
+            b.iter(|| round_trip(&mut svc, &line, &mut out));
+        });
+    }
+    let program = GenProgram::generate(480, SEED).text();
+    let mut svc = service(1);
+    for (label, bytes) in [("64K", 64usize << 10), ("1M", 1 << 20)] {
+        let mut text = program.repeat(bytes / program.len() + 1);
+        text.truncate(bytes);
+        let line = Request::Edit {
+            doc: "absent".into(),
+            text,
+        }
+        .to_json()
+        .to_string();
+        round_trip(&mut svc, &line, &mut out);
+        assert!(out.contains("unknown document"), "{out}");
+        group.bench_with_input(BenchmarkId::new("decode", label), &label, |b, _| {
+            b.iter(|| round_trip(&mut svc, &line, &mut out));
         });
     }
     group.finish();
@@ -327,6 +404,7 @@ criterion_group!(
     benches,
     bench_cold,
     bench_warm_edit,
+    bench_proto,
     bench_worker_scaling,
     bench_shed_overhead,
     bench_trace_overhead,

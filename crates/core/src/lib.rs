@@ -67,7 +67,7 @@ pub use kind::Kind;
 pub use names::{TyVar, Var};
 pub use options::{InstantiationStrategy, Options};
 pub use parser::{parse_program, parse_term, parse_type, ParseError};
-pub use program::{Decl, Program, Span};
+pub use program::{Decl, LineIndex, Program, Span};
 pub use subst::Subst;
 pub use symbol::Symbol;
 pub use term::{Lit, Term};

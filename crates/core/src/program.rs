@@ -53,12 +53,46 @@ pub struct Span {
 }
 
 impl Span {
-    /// The `line:col` (both 1-based) of the span's start in `src`.
+    /// The `line:col` (both 1-based) of the span's start in `src`. One
+    /// lookup builds a whole [`LineIndex`]; locate many spans of one
+    /// source through a shared index instead.
     pub fn line_col(&self, src: &str) -> (usize, usize) {
-        let upto = &src[..self.start.min(src.len())];
-        let line = upto.bytes().filter(|&b| b == b'\n').count() + 1;
-        let col = upto.rfind('\n').map_or(self.start + 1, |i| self.start - i);
-        (line, col)
+        LineIndex::new(src).line_col(self.start)
+    }
+}
+
+/// The newline offsets of one source text, built in one pass, so that
+/// each position lookup is a binary search rather than a rescan from
+/// byte 0.
+#[derive(Clone, Debug)]
+pub struct LineIndex {
+    /// Byte offset of every `\n`, ascending.
+    newlines: Vec<usize>,
+}
+
+impl LineIndex {
+    /// Index the newlines of `src`.
+    pub fn new(src: &str) -> LineIndex {
+        LineIndex {
+            newlines: src
+                .bytes()
+                .enumerate()
+                .filter_map(|(i, b)| (b == b'\n').then_some(i))
+                .collect(),
+        }
+    }
+
+    /// The `line:col` (both 1-based) of byte `offset`. The line counts
+    /// the newlines before `offset`; the column is in bytes from the
+    /// last of them (a `\r` before a `\n` is an ordinary byte). An
+    /// offset past the end of the source lies on its last line.
+    pub fn line_col(&self, offset: usize) -> (usize, usize) {
+        let before = self.newlines.partition_point(|&nl| nl < offset);
+        let col = match before {
+            0 => offset + 1,
+            k => offset - self.newlines[k - 1],
+        };
+        (before + 1, col)
     }
 }
 
@@ -267,5 +301,63 @@ mod tests {
         assert_eq!(s.line_col("ab\ncd\n"), (2, 2));
         let s = Span { start: 6, end: 7 };
         assert_eq!(s.line_col("ab\ncd\nef"), (3, 1));
+    }
+
+    /// The rescan-from-byte-0 rule `line_col` used before the index,
+    /// over bytes so that it is defined at every offset.
+    fn rescan_line_col(src: &str, offset: usize) -> (usize, usize) {
+        let upto = &src.as_bytes()[..offset.min(src.len())];
+        let line = upto.iter().filter(|&&b| b == b'\n').count() + 1;
+        let col = upto
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(offset + 1, |i| offset - i);
+        (line, col)
+    }
+
+    #[test]
+    fn the_line_index_agrees_with_a_rescan_at_every_offset() {
+        let mut sources: Vec<String> = [
+            "",
+            "\n",
+            "\n\n",
+            "abc",
+            "let x = 1;;\r\nlet y = x;;\r\n",
+            "-- é\nlet s = \"😀\";;\r\n\r\nlet t = s;;",
+            "\r\r\n\u{2028}\n",
+        ]
+        .map(String::from)
+        .to_vec();
+        // Deterministic mixes of CRLF, bare CR/LF and 2-, 3- and 4-byte
+        // characters, so a newline lands next to every kind of byte.
+        let pieces = ["a", " ", "\n", "\r\n", "\r", "é", "\u{2028}", "😀", ";;"];
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..64 {
+            let mut s = String::new();
+            for _ in 0..40 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                s.push_str(pieces[(state % pieces.len() as u64) as usize]);
+            }
+            sources.push(s);
+        }
+        for src in &sources {
+            let index = LineIndex::new(src);
+            for offset in 0..=src.len() + 3 {
+                assert_eq!(
+                    index.line_col(offset),
+                    rescan_line_col(src, offset),
+                    "offset {offset} of {src:?}"
+                );
+                if src.is_char_boundary(offset.min(src.len())) {
+                    let span = Span {
+                        start: offset,
+                        end: offset,
+                    };
+                    assert_eq!(span.line_col(src), index.line_col(offset));
+                }
+            }
+        }
     }
 }

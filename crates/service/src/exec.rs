@@ -24,6 +24,7 @@
 use crate::db::{Analysis, DeclInfo, EngineSel, Outcome};
 use crate::fault::{self, Fault};
 use crate::shared::Shared;
+use crate::sync::Arc;
 use freezeml_core::{Options, Span, Type, TypeEnv, Var};
 use freezeml_engine::differential::{class_of, types_equivalent};
 use freezeml_engine::{SchemeBank, SchemeId, Session};
@@ -293,8 +294,10 @@ pub struct BindingReport {
 /// The result of one check pass over a program.
 #[derive(Clone, Debug)]
 pub struct CheckReport {
-    /// Per-binding verdicts, in declaration order.
-    pub bindings: Vec<BindingReport>,
+    /// Per-binding verdicts, in declaration order. The slice is shared:
+    /// the document-report cache's warm copy, the sessions it serves and
+    /// every clone of the report point at the same bindings.
+    pub bindings: Arc<[BindingReport]>,
     /// Bindings actually re-inferred this pass (cache misses).
     pub rechecked: usize,
     /// Bindings served from the scheme cache.
@@ -312,8 +315,9 @@ impl CheckReport {
     /// The report a perfectly warm pass over these verdicts produces:
     /// every binding served from cache, no inference waves. It is the
     /// form the document-report cache stores and persists, so a hit is
-    /// indistinguishable from a warm per-binding pass.
-    pub(crate) fn warm(bindings: Vec<BindingReport>) -> CheckReport {
+    /// indistinguishable from a warm per-binding pass. It shares
+    /// `bindings` rather than copying them.
+    pub(crate) fn warm(bindings: Arc<[BindingReport]>) -> CheckReport {
         CheckReport {
             reused: bindings.len(),
             bindings,
@@ -643,7 +647,7 @@ mod tests {
             "let ok = 1;;\nlet bad = 1 1;;\nlet child = bad;;\n",
             EngineSel::Uf,
         );
-        for b in &r.bindings {
+        for b in r.bindings.iter() {
             assert!(b.outcome.cacheable(), "{}: {:?}", b.name, b.outcome);
         }
         assert!(matches!(

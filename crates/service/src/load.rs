@@ -460,7 +460,7 @@ impl ReplayStats {
 }
 
 fn scan_report(stats: &mut ReplayStats, id: &str, report: &CheckReport) {
-    for b in &report.bindings {
+    for b in report.bindings.iter() {
         if let crate::db::Outcome::Disagreement { core, uf } = &b.outcome {
             stats.failures.push(format!(
                 "{id}: `{}` disagreement (core: {core}, uf: {uf})",

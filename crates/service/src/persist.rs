@@ -948,7 +948,7 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
         }
     }
     for (key, verify, gen, bindings) in &snapshot.docs {
-        let restored: Option<Vec<BindingReport>> = bindings
+        let restored: Option<Arc<[BindingReport]>> = bindings
             .iter()
             .map(|b| {
                 restore(&b.outcome).map(|o| BindingReport {

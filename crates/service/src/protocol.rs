@@ -49,8 +49,9 @@
 use crate::exec::CheckReport;
 use crate::service::{Service, ServiceError};
 use crate::stats;
+use freezeml_core::LineIndex;
 use freezeml_obs::Cmd;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::Instant;
 
 // ------------------------------------------------------------------ JSON
@@ -114,6 +115,7 @@ impl Json {
     /// A readable message with a byte offset.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = JsonParser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -125,64 +127,104 @@ impl Json {
         }
         Ok(v)
     }
+
+    /// Append this value's serialisation to `out`. Unescaped runs and
+    /// punctuation go in with one `push_str` each, so the cost is linear
+    /// in the output. This is the one encoder: `Display` wraps it.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // JSON has no NaN/∞; the parser refuses to produce them, so
+            // this arm only guards hand-built values.
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => write_int(out, *n as i64),
+            Json::Num(n) => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if !n.is_finite() {
-                    // JSON has no NaN/∞; the parser refuses to produce
-                    // them, so this arm only guards hand-built values.
-                    write!(f, "null")
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                write!(f, "[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(fields) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Append the decimal digits of `n`. Reports carry two integers per
+/// binding, and this skips the formatting machinery `write!` runs.
+fn write_int(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    write!(f, "\"")
+    if n < 0 {
+        out.push('-');
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// Append `s` as a JSON string literal. Every byte that needs an escape
+/// is ASCII, so the unescaped runs between them are whole characters.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// A JSON parse failure.
@@ -202,7 +244,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A recursive-descent parser over one already-validated `&str`: the
+/// decoder copies out slices of it and never re-checks UTF-8.
 struct JsonParser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -310,9 +355,7 @@ impl JsonParser<'_> {
         ) {
             self.pos += 1;
         }
-        // lint: allow(unwrap) — scanner consumed only ASCII digit/sign/exponent bytes
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        match text.parse::<f64>() {
+        match self.src[start..self.pos].parse::<f64>() {
             // Rust parses over-range literals (`1e999`) to ±∞, which the
             // serialiser could never round-trip — reject them instead.
             Ok(n) if n.is_finite() => Ok(Json::Num(n)),
@@ -324,6 +367,16 @@ impl JsonParser<'_> {
         self.eat(b'"', "expected `\"`")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"`, `\` or control byte as one
+            // slice. Those stop bytes are ASCII, so the run ends on a
+            // character boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.bytes.get(self.pos) {
                 None => return Err(self.fail("unterminated string")),
                 Some(b'"') => {
@@ -369,16 +422,7 @@ impl JsonParser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(&b) if b < 0x20 => return Err(self.fail("raw control character")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.fail("invalid UTF-8"))?;
-                    // lint: allow(unwrap) — from_utf8 succeeded on a non-empty slice
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.fail("raw control character")),
             }
         }
     }
@@ -562,17 +606,22 @@ impl Request {
 // ------------------------------------------------------------- responses
 
 /// The response to a successful `open`/`edit`/`check`: the full report.
+/// Positions come from one [`LineIndex`] of `src`, so locating every
+/// binding costs one pass over the text plus a binary search each.
 pub fn report_json(doc: &str, report: &CheckReport, src: &str) -> Json {
+    let lines = LineIndex::new(src);
     let bindings: Vec<Json> = report
         .bindings
         .iter()
         .map(|b| {
-            let (line, col) = b.span.line_col(src);
-            let mut fields = vec![
+            let (line, col) = lines.line_col(b.span.start);
+            // Every status adds at most three fields to these three.
+            let mut fields = Vec::with_capacity(6);
+            fields.extend([
                 ("name".to_string(), Json::Str(b.name.clone())),
                 ("line".to_string(), Json::Num(line as f64)),
                 ("col".to_string(), Json::Num(col as f64)),
-            ];
+            ]);
             use crate::db::Outcome::*;
             match &b.outcome {
                 Typed {
@@ -629,45 +678,41 @@ pub fn error_json(err: &ServiceError, src: Option<&str>) -> Json {
     }
     let mut fields = vec![("message".to_string(), Json::Str(err.to_string()))];
     if let (ServiceError::Parse(e), Some(src)) = (err, src) {
-        let span = freezeml_core::Span {
-            start: e.pos,
-            end: e.pos,
-        };
-        let (line, col) = span.line_col(src);
+        let (line, col) = LineIndex::new(src).line_col(e.pos);
         fields.push(("line".into(), Json::Num(line as f64)));
         fields.push(("col".into(), Json::Num(col as f64)));
     }
     Json::obj([("ok", Json::Bool(false)), ("error", Json::Obj(fields))])
 }
 
+/// The report a successful `open`/`edit`/`check` just stored, encoded
+/// against the document's text: both are borrowed from the service.
+fn stored_report_json(svc: &Service, doc: &str) -> Json {
+    match svc.report(doc).zip(svc.text(doc)) {
+        Some((report, src)) => report_json(doc, report, src),
+        // A successful check always stores its report; this arm only
+        // keeps the answer well formed.
+        None => error_json(&ServiceError::UnknownDoc(doc.to_string()), None),
+    }
+}
+
 /// Handle one request against a service, producing the response value.
 pub fn handle(svc: &mut Service, req: &Request) -> Json {
     match req {
         Request::Open { doc, text } | Request::Edit { doc, text } => {
-            let is_open = matches!(req, Request::Open { .. });
-            let r = if is_open {
+            let r = if matches!(req, Request::Open { .. }) {
                 svc.open(doc, text)
             } else {
                 svc.edit(doc, text)
             };
             match r {
-                Ok(report) => {
-                    let report = report.clone();
-                    report_json(doc, &report, svc.text(doc).unwrap_or_default())
-                }
+                Ok(_) => stored_report_json(svc, doc),
                 Err(e) => error_json(&e, Some(text)),
             }
         }
         Request::Check { doc } => match svc.check(doc) {
-            Ok(report) => {
-                let report = report.clone();
-                let src = svc.text(doc).unwrap_or_default().to_string();
-                report_json(doc, &report, &src)
-            }
-            Err(e) => {
-                let src = svc.text(doc).map(str::to_string);
-                error_json(&e, src.as_deref())
-            }
+            Ok(_) => stored_report_json(svc, doc),
+            Err(e) => error_json(&e, svc.text(doc)),
         },
         Request::TypeOf { doc, name } => match svc.type_of(doc, name) {
             Err(e) => error_json(&e, None),

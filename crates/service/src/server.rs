@@ -181,6 +181,8 @@ pub fn serve_with<R: BufRead, W: Write>(
 ) -> io::Result<()> {
     let budget = opts.request_timeout_ms.map(Duration::from_millis);
     let mut buf: Vec<u8> = Vec::new();
+    // Every response is encoded into this one buffer.
+    let mut out = String::new();
     loop {
         // A drain request ends the session at the request boundary:
         // the response already in flight was written, nothing of the
@@ -247,12 +249,18 @@ pub fn serve_with<R: BufRead, W: Write>(
         // One write per response: a `writeln!` straight to a socket
         // splits into tiny writes, and Nagle + delayed ACK turns each
         // round trip into a ~40 ms stall.
-        let mut out = response.to_string();
+        out.clear();
+        response.write_to(&mut out);
         out.push('\n');
-        if let Err(e) = writer
+        let written = writer
             .write_all(out.as_bytes())
-            .and_then(|()| writer.flush())
-        {
+            .and_then(|()| writer.flush());
+        // An idle session keeps at most one request cap's worth of
+        // encode buffer: a larger response's buffer goes back now.
+        if out.capacity() > opts.max_request_bytes {
+            out = String::new();
+        }
+        if let Err(e) = written {
             if is_timeout(e.kind()) {
                 // The peer stopped reading: their loss, counted and
                 // closed — never a pinned session thread.

@@ -343,7 +343,7 @@ impl Service {
                     .run_budgeted(a, &self.shared, self.ctx, self.deadline)
                     .map_err(|_| ServiceError::Deadline)?;
                 if report.bindings.iter().all(|b| b.outcome.cacheable()) {
-                    let warm = CheckReport::warm(report.bindings.clone());
+                    let warm = CheckReport::warm(Arc::clone(&report.bindings));
                     self.shared.record_doc_report(dkey, dverify, Arc::new(warm));
                 }
                 Arc::new(report)

@@ -92,6 +92,25 @@ fn generated_values_round_trip() {
     }
 }
 
+/// Long strings, 64 KiB to 1 MiB: the decoder and the encoder both copy
+/// unescaped runs as whole slices, and these strings put an escape or a
+/// multi-byte character on each side of a run, over and over.
+#[test]
+fn long_strings_round_trip() {
+    let mut rng = StdRng::seed_from_u64(0x10_0009);
+    for len in [64 << 10, 256 << 10, 1 << 20] {
+        let mut s = String::with_capacity(len + 4);
+        while s.len() < len {
+            s.push(random_char(&mut rng));
+        }
+        let v = Json::Arr(vec![Json::Str(s.clone()), Json::obj([("k", Json::Str(s))])]);
+        let text = v.to_string();
+        let back = Json::parse(&text).unwrap_or_else(|e| panic!("{len} bytes: {e}"));
+        assert_eq!(back, v, "{len} bytes");
+        assert_eq!(back.to_string(), text, "{len} bytes");
+    }
+}
+
 /// Escaped spellings decode to the same value as the serialiser's own
 /// spelling — including surrogate pairs for astral characters.
 #[test]

@@ -10,10 +10,14 @@
 //!   at 120–480 bindings); this debug-profile test guards a ≥6× floor —
 //!   debug constant factors compress the ratio (7–11× observed on a
 //!   2-CPU host), and a regression below 6× would mean the incremental
-//!   path broke.
+//!   path broke;
+//! * the protocol layers alone (request decode, report building and
+//!   encoding) grow linearly with their input.
 
 use freezeml_core::Options;
-use freezeml_service::{analyze, EngineSel, GenProgram, Service, ServiceConfig};
+use freezeml_service::protocol::report_json;
+use freezeml_service::{analyze, EngineSel, GenProgram, Json, Request, Service, ServiceConfig};
+use std::hint::black_box;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -137,7 +141,7 @@ fn parallel_and_serial_pools_agree_on_reports() {
     let a = one.open("t", &text).unwrap().clone();
     let b = four.open("t", &text).unwrap().clone();
     assert_eq!(a.bindings.len(), b.bindings.len());
-    for (x, y) in a.bindings.iter().zip(&b.bindings) {
+    for (x, y) in a.bindings.iter().zip(b.bindings.iter()) {
         assert_eq!(x.name, y.name);
         assert_eq!(
             x.outcome.display(),
@@ -147,4 +151,69 @@ fn parallel_and_serial_pools_agree_on_reports() {
         );
     }
     assert_eq!(a.rechecked, b.rechecked);
+}
+
+/// The best of 5 timed runs: a slow spell on the host can only inflate a
+/// run, so the minimum is the steadiest reading.
+fn best_of_5(mut f: impl FnMut()) -> Duration {
+    (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed()
+        })
+        .min()
+        .unwrap_or_default()
+}
+
+/// An `open` request line of about `bytes` bytes, its text cut from a
+/// generated program (ASCII, with a newline escape on every line).
+fn open_line(bytes: usize) -> String {
+    let program = GenProgram::generate(400, 0).text();
+    let mut text = program.repeat(bytes / program.len() + 1);
+    text.truncate(bytes);
+    Request::Open {
+        doc: "m".into(),
+        text,
+    }
+    .to_json()
+    .to_string()
+}
+
+/// Building and encoding the open report of `gen n 0`.
+fn report_cost(n: usize) -> Duration {
+    let text = GenProgram::generate(n, 0).text();
+    let mut s = svc();
+    s.open("m", &text).unwrap();
+    let report = s.report("m").unwrap();
+    best_of_5(|| {
+        let mut out = String::new();
+        report_json("m", report, &text).write_to(&mut out);
+        black_box(out);
+    })
+}
+
+#[test]
+fn protocol_layers_scale_linearly() {
+    let _serial = serial();
+    // Inputs 8× apart; a linear layer reads ~8×, a quadratic one ~64×.
+    const LIMIT: f64 = 24.0;
+    let decode = |bytes: usize| {
+        let line = open_line(bytes);
+        best_of_5(|| {
+            black_box(Json::parse(&line).unwrap());
+        })
+    };
+    let (small, big) = (decode(64 << 10), decode(512 << 10));
+    let ratio = big.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio <= LIMIT,
+        "decode: 512 KiB took {big:?}, 64 KiB took {small:?} ({ratio:.1}×)"
+    );
+    let (small, big) = (report_cost(250), report_cost(2000));
+    let ratio = big.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio <= LIMIT,
+        "report + encode: 2000 bindings took {big:?}, 250 took {small:?} ({ratio:.1}×)"
+    );
 }

@@ -540,7 +540,7 @@ fn main() {
                         }
                         Ok(report) => {
                             repl.text = text;
-                            for b in &report.bindings {
+                            for b in report.bindings.iter() {
                                 println!("{} : {}", b.name, b.display);
                             }
                             println!(

@@ -81,12 +81,14 @@
 use freezeml::lint;
 
 use freezeml_conformance::program as golden;
+use freezeml_core::LineIndex;
 use freezeml_obs::Tracer;
 use freezeml_service::sock::Admission;
 use freezeml_service::{
     load, persist, serve_with, Checkpointer, EngineSel, Json, LoadOutcome, PersistConfig,
     ServeOptions, Service, ServiceConfig, Shared, SocketServer,
 };
+use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
@@ -455,8 +457,9 @@ fn cmd_check(
                     failed = true;
                 }
                 Ok(report) => {
-                    for b in &report.bindings {
-                        let (line, col) = b.span.line_col(&text);
+                    let lines = LineIndex::new(&text);
+                    for b in report.bindings.iter() {
+                        let (line, col) = lines.line_col(b.span.start);
                         println!("  {line}:{col} {} : {}", b.name, b.outcome.display());
                         failed |= !b.outcome.is_typed();
                     }
@@ -527,11 +530,19 @@ fn cmd_elaborate(cfg: ServiceConfig, files: &[String]) -> ExitCode {
                 Ok(report) => {
                     // Visible bindings only (ML shadowing: the last of
                     // each name), in declaration order.
-                    let mut names: Vec<String> = Vec::new();
-                    for b in &report.bindings {
-                        names.retain(|n| n != &b.name);
-                        names.push(b.name.clone());
-                    }
+                    let last: HashMap<&str, usize> = report
+                        .bindings
+                        .iter()
+                        .enumerate()
+                        .map(|(i, b)| (b.name.as_str(), i))
+                        .collect();
+                    let names: Vec<String> = report
+                        .bindings
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, b)| last[b.name.as_str()] == i)
+                        .map(|(_, b)| b.name.clone())
+                        .collect();
                     for name in names {
                         match svc.elaborate(&id, &name) {
                             Ok(Some(e)) => {

@@ -39,14 +39,15 @@
 //!   nothing is overloaded (EXPERIMENTS.md);
 //! * `service/persisted-warm/<n>` — open the same `n`-binding program
 //!   in a *fresh process image*: a new hub warmed only from an on-disk
-//!   snapshot (`freezeml_service::persist`), so every verdict, every
-//!   rendered scheme, and the whole-document report come off the
-//!   restored cache — zero bindings rechecked, zero waves scheduled
+//!   snapshot (`freezeml_service::persist`), so every verdict and the
+//!   whole-document report come off the restored cache, and every
+//!   scheme string off the load's one rendering of the restored DAG —
+//!   zero bindings rechecked, zero waves scheduled, nothing parsed
 //!   (the persistent-warm-start headline vs `service/cold/<n>`);
 //! * `service/persisted-load/<n>` — the snapshot restore itself: fresh
 //!   hub + `persist::load` (decode, structural re-interning into the
-//!   scheme bank, cache population) — the one-off cost a warm start
-//!   pays at process birth;
+//!   scheme bank, one render per restored scheme, cache population) —
+//!   the one-off cost a warm start pays at process birth;
 //! * `service/trace-overhead/<off|on>` — the `workers/4` roster re-run
 //!   on the instrumented stack: `off` with the tracer explicitly
 //!   disabled (the monomorphised no-trace path — the row the ≤5%

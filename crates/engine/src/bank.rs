@@ -848,18 +848,6 @@ impl SchemeBank {
         Ok(AbsorbedSnapshot { ids, open })
     }
 
-    /// Seed the rendering memo for `id` — used by the persistence layer
-    /// to reinstall strings rendered by a previous process, so a warm
-    /// restart serves schemes without a single cold `pretty` pass.
-    /// First writer wins, same as a rendering race; an id that is not
-    /// interned here is ignored.
-    pub fn seed_rendering(&self, id: SchemeId, s: Arc<str>) {
-        let mut g = self.write(shard_of(id));
-        if slot_of(id) < g.nodes.len() {
-            g.rendered.entry(id).or_insert(s);
-        }
-    }
-
     /// Collision-free display names for `count` residual variables that
     /// were grounded out of the scheme `id` (value-restriction
     /// defaulting): consecutive letters from the canonical supply,
@@ -1141,20 +1129,6 @@ mod tests {
         assert!(bank
             .to_type(id)
             .alpha_eq(&parse_type("forall a. a").unwrap()));
-    }
-
-    #[test]
-    fn seed_rendering_feeds_the_pretty_memo() {
-        let bank = SchemeBank::new();
-        let id = export_str(&bank, "forall a. a -> a");
-        let canonical: Arc<str> = Arc::from("forall a. a -> a");
-        bank.seed_rendering(id, Arc::clone(&canonical));
-        let before = bank.renders();
-        assert_eq!(&*bank.pretty(id), &*canonical);
-        assert_eq!(bank.renders(), before, "seeded pretty is a memo hit");
-        // Seeding never overwrites an existing rendering.
-        bank.seed_rendering(id, Arc::from("bogus"));
-        assert_eq!(&*bank.pretty(id), &*canonical);
     }
 
     #[test]

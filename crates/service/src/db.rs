@@ -4,8 +4,8 @@
 //!
 //! ## Invalidation model
 //!
-//! Every declaration gets a **content hash** — the FNV-1a hash of its
-//! source slice (`let` through `;;`). Its **cache key** combines that
+//! Every declaration gets a **content hash** — the [`Hasher64`] hash of
+//! its source slice (`let` through `;;`). Its **cache key** combines that
 //! hash with the cache keys of the declarations its free variables
 //! resolve to, plus the checker configuration:
 //!
@@ -214,8 +214,6 @@ impl DeclInfo {
 /// topological waves, and cache keys.
 #[derive(Clone, Debug)]
 pub struct Analysis {
-    /// The source text the program was parsed from (spans index into it).
-    pub src: String,
     /// Does the program request the Figure 2 prelude (`#use prelude`)?
     pub uses_prelude: bool,
     /// The declarations, in order.
@@ -323,46 +321,6 @@ impl Frontend {
     /// Chunk lookups that re-parsed their slice.
     pub fn parse_misses(&self) -> u64 {
         self.misses
-    }
-
-    /// The raw source slices of every cached chunk — what the
-    /// persistence layer writes out. Slices, not parse trees: terms
-    /// hold interned symbols that don't survive a process boundary, and
-    /// re-parsing a chunk is cheap next to re-inferring it.
-    pub(crate) fn export_slices(&self) -> Vec<String> {
-        self.chunks.values().map(|c| c.slice.clone()).collect()
-    }
-
-    /// Re-parse and cache one persisted slice (load path). Returns
-    /// whether the slice was accepted — a slice that no longer parses
-    /// (e.g. persisted by a different version) is simply skipped.
-    pub(crate) fn absorb_slice(&mut self, slice: &str) -> bool {
-        if self.chunks.len() > FRONTEND_CAP {
-            return false;
-        }
-        let key = hash_str(slice);
-        if matches!(self.chunks.get(&key), Some(c) if c.slice == slice) {
-            return true;
-        }
-        let Ok(parsed) = freezeml_core::parse_program(slice) else {
-            return false;
-        };
-        if parsed.decls.len() > 1 {
-            return false; // cached chunks hold at most one declaration
-        }
-        self.chunks.insert(
-            key,
-            CachedChunk {
-                slice: slice.to_string(),
-                pragmas: parsed.pragmas,
-                decl: parsed
-                    .decls
-                    .into_iter()
-                    .next()
-                    .map(|d| ParsedDecl::from_decl(d).0),
-            },
-        );
-        true
     }
 }
 
@@ -547,7 +505,7 @@ pub fn analyze_cached_traced(
     }
     drop(parse_span);
     let _dep_span = tracer.span("dep-graph", ctx);
-    Ok(build_analysis(pragmas, decls, content, src, opts, engine))
+    Ok(build_analysis(pragmas, decls, content, opts, engine))
 }
 
 /// Analyse an already-parsed program (spans must index into `src`).
@@ -570,14 +528,13 @@ pub fn analyze_parsed(program: Program, src: &str, opts: &Options, engine: Engin
         .iter()
         .map(|d| hash_str(src.get(d.span.start..d.span.end).unwrap_or_default()))
         .collect();
-    build_analysis(pragmas, decls, content, src, opts, engine)
+    build_analysis(pragmas, decls, content, opts, engine)
 }
 
 fn build_analysis(
     pragmas: Vec<(String, String, Span)>,
     decls: Vec<DeclInfo>,
     content: Vec<u64>,
-    src: &str,
     opts: &Options,
     engine: EngineSel,
 ) -> Analysis {
@@ -639,7 +596,6 @@ fn build_analysis(
     }
 
     Analysis {
-        src: src.to_string(),
         uses_prelude,
         decls,
         deps,
@@ -770,12 +726,14 @@ mod tests {
     /// Snapshot files carry the epoch, document keys and Merkle keys;
     /// these values were written by earlier builds, so changing how the
     /// options are fingerprinted would orphan every existing snapshot.
+    /// The epochs also mix in the snapshot format version, so they move
+    /// (and only they) when it is bumped.
     #[test]
     fn fingerprints_match_existing_snapshots() {
         let src = "#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n";
         let (std, pure) = (Options::default(), Options::pure_freezeml());
-        assert_eq!(crate::persist::epoch(&std), 0xa42b_45c9_c41c_5691);
-        assert_eq!(crate::persist::epoch(&pure), 0x1d7a_9299_24db_1eb0);
+        assert_eq!(crate::persist::epoch(&std), 0x7105_0fad_a33a_dad6);
+        assert_eq!(crate::persist::epoch(&pure), 0x4fb1_44dd_f490_8e92);
         assert_eq!(doc_key(src, &std, EngineSel::Uf), 0x4086_7fdb_91fa_5920);
         assert_eq!(
             std_analysis(src).keys,

@@ -4,20 +4,27 @@
 //!
 //! ## What is persisted
 //!
-//! Four tables, all content-addressed (the in-memory keys already
+//! Three tables, all content-addressed (the in-memory keys already
 //! fingerprint text, dependencies, and configuration — [`crate::db`]):
 //!
 //! 1. the **scheme DAG** — the α-canonical nodes reachable from every
 //!    persisted verdict, flattened topologically
 //!    ([`freezeml_engine::snapshot`]); SchemeIds are process-local, so
 //!    loads remap them by structural re-interning;
-//! 2. the **render table** — the memoised `pretty` string per persisted
-//!    root, so a warm restart serves schemes with zero materialisations;
-//! 3. the **Merkle verdict cache** — cache key → outcome (+ root index
-//!    for typed outcomes);
-//! 4. the **document-report cache** and the **declaration parse slices**
-//!    — a re-opened unchanged document is served wholesale, and a
-//!    near-miss edit re-parses only the touched chunk.
+//! 2. the **Merkle verdict cache** — cache key → outcome (+ root index
+//!    and defaulted-variable count for typed outcomes);
+//! 3. the **document-report cache** — a re-opened unchanged document is
+//!    served wholesale, without parsing or scheduling anything.
+//!
+//! Principal types (paper Theorem 7) make each binding's scheme a
+//! function of its text and its dependencies' schemes, so these three
+//! are the whole warm state. Everything else is derived: a load renders
+//! each restored scheme once from the DAG
+//! ([`SchemeBank::pretty`](freezeml_engine::SchemeBank::pretty)) and
+//! names its defaulted variables with
+//! [`SchemeBank::defaulted_names`](freezeml_engine::SchemeBank::defaulted_names),
+//! exactly as inference does; a document is parsed when it is first
+//! analysed.
 //!
 //! ## Format
 //!
@@ -68,8 +75,9 @@ use std::time::{Duration, Instant};
 const MAGIC: &[u8; 4] = b"FZSC";
 
 /// Bumped on any incompatible layout change (also mixed into the
-/// epoch, so old files are rejected by epoch before layout is trusted).
-const FORMAT_VERSION: u32 = 1;
+/// epoch). The header check refuses another version before the epoch
+/// or the layout is read, under the `version` reason.
+const FORMAT_VERSION: u32 = 2;
 
 /// Header size in bytes: magic + version + epoch + generation +
 /// payload_len + checksum.
@@ -127,8 +135,6 @@ pub struct SaveOutcome {
     pub entries: usize,
     /// Document reports written.
     pub docs: usize,
-    /// Parse-cache slices written.
-    pub chunks: usize,
     /// Entries evicted (file + memory) to meet the size cap.
     pub evicted: u64,
     /// Entries skipped because their scheme reaches an invented
@@ -149,8 +155,6 @@ pub struct LoadOutcome {
     pub entries: usize,
     /// Document reports restored.
     pub docs: usize,
-    /// Parse-cache slices restored.
-    pub chunks: usize,
     /// Scheme nodes absorbed.
     pub nodes: usize,
     /// The generation the hub resumed at.
@@ -251,11 +255,12 @@ impl<'a> Dec<'a> {
 // ------------------------------------------------- portable structures
 
 /// An outcome as persisted: typed outcomes carry a root index into the
-/// snapshot's node table (the scheme string is reinstated from the
-/// render table on load), everything else travels as strings.
+/// snapshot's node table and how many variables were defaulted (the
+/// load renders the scheme and names the defaulted variables from the
+/// restored DAG), everything else travels as strings.
 #[derive(Clone, Debug)]
 enum POutcome {
-    Typed { root: u32, defaulted: Vec<String> },
+    Typed { root: u32, defaulted: u32 },
     Error { class: String, message: String },
     Blocked { on: String },
 }
@@ -270,11 +275,9 @@ struct PBinding {
 #[derive(Debug, Default)]
 struct DecodedSnapshot {
     nodes: Vec<PortableNode>,
-    renders: Vec<(u32, String)>,
     entries: Vec<(u64, u64, POutcome)>,
     /// `(doc key, verify digest, generation, bindings)`.
     docs: Vec<(u64, u64, u64, Vec<PBinding>)>,
-    chunks: Vec<String>,
 }
 
 fn enc_node(e: &mut Enc, n: &PortableNode) {
@@ -365,10 +368,7 @@ fn enc_outcome(e: &mut Enc, o: &POutcome) {
         POutcome::Typed { root, defaulted } => {
             e.u8(0);
             e.u32(*root);
-            e.u32(defaulted.len() as u32);
-            for d in defaulted {
-                e.str(d);
-            }
+            e.u32(*defaulted);
         }
         POutcome::Error { class, message } => {
             e.u8(1);
@@ -384,15 +384,10 @@ fn enc_outcome(e: &mut Enc, o: &POutcome) {
 
 fn dec_outcome(d: &mut Dec) -> DecResult<POutcome> {
     Ok(match d.u8()? {
-        0 => {
-            let root = d.u32()?;
-            let n = d.count(4)?;
-            let mut defaulted = Vec::with_capacity(n);
-            for _ in 0..n {
-                defaulted.push(d.str()?);
-            }
-            POutcome::Typed { root, defaulted }
-        }
+        0 => POutcome::Typed {
+            root: d.u32()?,
+            defaulted: d.u32()?,
+        },
         1 => POutcome::Error {
             class: d.str()?,
             message: d.str()?,
@@ -407,11 +402,6 @@ fn encode_payload(s: &DecodedSnapshot) -> Vec<u8> {
     e.u32(s.nodes.len() as u32);
     for n in &s.nodes {
         enc_node(&mut e, n);
-    }
-    e.u32(s.renders.len() as u32);
-    for (idx, r) in &s.renders {
-        e.u32(*idx);
-        e.str(r);
     }
     e.u32(s.entries.len() as u32);
     for (key, gen, o) in &s.entries {
@@ -432,10 +422,6 @@ fn encode_payload(s: &DecodedSnapshot) -> Vec<u8> {
             enc_outcome(&mut e, &b.outcome);
         }
     }
-    e.u32(s.chunks.len() as u32);
-    for c in &s.chunks {
-        e.str(c);
-    }
     e.buf
 }
 
@@ -445,12 +431,6 @@ fn decode_payload(data: &[u8]) -> DecResult<DecodedSnapshot> {
     let n = d.count(1)?;
     for _ in 0..n {
         s.nodes.push(dec_node(&mut d)?);
-    }
-    let n = d.count(8)?;
-    for _ in 0..n {
-        let idx = d.u32()?;
-        let r = d.str()?;
-        s.renders.push((idx, r));
     }
     let n = d.count(17)?;
     for _ in 0..n {
@@ -476,10 +456,6 @@ fn decode_payload(data: &[u8]) -> DecResult<DecodedSnapshot> {
             });
         }
         s.docs.push((key, verify, gen, bindings));
-    }
-    let n = d.count(4)?;
-    for _ in 0..n {
-        s.chunks.push(d.str()?);
     }
     if d.remaining() != 0 {
         return Err(format!("{} trailing bytes", d.remaining()));
@@ -507,14 +483,12 @@ impl Item {
     fn est_bytes(&self) -> u64 {
         fn outcome_est(o: &Outcome) -> u64 {
             match o {
-                // Scheme string length ×3 approximates the node +
-                // render share of a typed outcome.
-                Outcome::Typed {
-                    scheme, defaulted, ..
-                } => {
-                    48 + 3 * scheme.len() as u64
-                        + defaulted.iter().map(|d| d.len() as u64 + 8).sum::<u64>()
-                }
+                // The file holds a typed outcome's DAG nodes, not its
+                // string, but a load renders the string again. Charging
+                // three times its length bounds what a load renders, so
+                // the size cap evicts a verdict with a huge rendering
+                // instead of re-rendering it at every start.
+                Outcome::Typed { scheme, .. } => 48 + 3 * scheme.len() as u64,
                 Outcome::Error { class, message } => 24 + (class.len() + message.len()) as u64,
                 Outcome::Blocked { on } => 16 + on.len() as u64,
                 Outcome::Disagreement { .. } => 0, // never persisted
@@ -537,7 +511,7 @@ fn portable_outcome(o: &Outcome, idx_of: &dyn Fn(SchemeId) -> Option<u32>) -> Op
     match o {
         Outcome::Typed { id, defaulted, .. } => idx_of(*id).map(|root| POutcome::Typed {
             root,
-            defaulted: defaulted.clone(),
+            defaulted: defaulted.len() as u32,
         }),
         Outcome::Error { class, message } => Some(POutcome::Error {
             class: class.clone(),
@@ -585,20 +559,6 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
         }
     }
 
-    let chunks: Vec<String> = {
-        let mut out = Vec::new();
-        let mut chunk_used = 0u64;
-        for s in shared.frontend().export_slices() {
-            let sz = s.len() as u64 + 4;
-            if used + chunk_used + sz > budget {
-                continue; // chunks are regenerable; drop freely
-            }
-            chunk_used += sz;
-            out.push(s);
-        }
-        out
-    };
-
     // Failpoint: a snapshot that cannot even be encoded (`delay` models
     // a slow encode under memory pressure).
     if let Some(f) = fault::hit_counted("persist.encode", shared.metrics()) {
@@ -612,7 +572,7 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
     // (node tables shared across entries make estimates optimistic).
     let mut unportable;
     let payload = loop {
-        let (snapshot, skipped) = build_snapshot(shared, &kept, &chunks);
+        let (snapshot, skipped) = build_snapshot(shared, &kept);
         unportable = skipped;
         let payload = encode_payload(&snapshot);
         if payload.len() + HEADER_LEN <= cfg.max_bytes as usize || kept.is_empty() {
@@ -700,7 +660,6 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
         bytes,
         entries,
         docs,
-        chunks: chunks.len(),
         evicted,
         unportable,
         generation,
@@ -708,10 +667,9 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
 }
 
 /// Build the portable snapshot for the kept items: export the scheme
-/// DAG reachable from their typed outcomes, translate outcomes, and
-/// collect render strings. Returns the snapshot plus how many items
-/// were skipped as unportable.
-fn build_snapshot(shared: &Shared, kept: &[Item], chunks: &[String]) -> (DecodedSnapshot, usize) {
+/// DAG reachable from their typed outcomes and translate outcomes.
+/// Returns the snapshot plus how many items were skipped as unportable.
+fn build_snapshot(shared: &Shared, kept: &[Item]) -> (DecodedSnapshot, usize) {
     let bank = shared.bank();
 
     // Unique typed roots across everything kept.
@@ -736,24 +694,9 @@ fn build_snapshot(shared: &Shared, kept: &[Item], chunks: &[String]) -> (Decoded
         roots.iter().copied().zip(idxs).collect();
     let idx_of = |id: SchemeId| -> Option<u32> { idx_by_id.get(&id).copied().flatten() };
 
-    // Render table: one string per portable root (memo hits for warm
-    // ids; roots only rendered at save time cost one pretty each).
-    let mut renders: Vec<(u32, String)> = Vec::new();
-    let mut rendered = std::collections::HashSet::new();
-    for &r in &roots {
-        if let Some(idx) = idx_of(r) {
-            if rendered.insert(idx) {
-                renders.push((idx, bank.pretty(r).to_string()));
-            }
-        }
-    }
-
     let mut snapshot = DecodedSnapshot {
         nodes,
-        renders,
-        entries: Vec::new(),
-        docs: Vec::new(),
-        chunks: chunks.to_vec(),
+        ..DecodedSnapshot::default()
     };
     let mut unportable = 0usize;
     for it in kept {
@@ -890,7 +833,8 @@ fn validate(data: &[u8], epoch_now: u64) -> Result<(u64, &[u8]), (&'static str, 
 
 /// Apply a fully decoded snapshot. The scheme DAG absorbs first (ids
 /// remapped by structural re-interning); entries and reports whose
-/// roots are rejected are skipped individually.
+/// roots are rejected are skipped individually. Each restored scheme is
+/// rendered once here, by the bank's memoised `pretty`.
 fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOutcome {
     let bank = shared.bank();
     // Failpoint: the scheme DAG cannot be re-interned (models a
@@ -909,22 +853,22 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
         Err(e) => return cold(shared, "malformed", e.to_string()),
     };
 
-    // Reinstate renderings before any entry can demand one, so the warm
-    // path performs zero cold renders.
-    for (idx, s) in &snapshot.renders {
-        if let Some(id) = absorbed.closed(*idx) {
-            bank.seed_rendering(id, Arc::from(s.as_str()));
-        }
-    }
-
     let restore = |po: &POutcome| -> Option<Outcome> {
         Some(match po {
             POutcome::Typed { root, defaulted } => {
                 let id = absorbed.closed(*root)?;
+                let scheme = bank.pretty(id);
+                // Each defaulted variable was grounded to an `Int` that
+                // the rendering shows, so a larger count is corrupt: it
+                // must not size an allocation.
+                let defaulted = *defaulted as usize;
+                if defaulted > scheme.len() / "Int".len() {
+                    return None;
+                }
                 Outcome::Typed {
                     id,
-                    scheme: bank.pretty(id),
-                    defaulted: defaulted.clone(),
+                    defaulted: bank.defaulted_names(id, defaulted),
+                    scheme,
                 }
             }
             POutcome::Error { class, message } => Outcome::Error {
@@ -967,14 +911,6 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
             out.docs += 1;
         }
     }
-    {
-        let mut fe = shared.frontend();
-        for c in &snapshot.chunks {
-            if fe.absorb_slice(c) {
-                out.chunks += 1;
-            }
-        }
-    }
     // Resume past the snapshot's generation: everything restored reads
     // as "last touched at generation ≤ header's", fresh work reads
     // newer.
@@ -994,7 +930,7 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
 ///
 /// The stop lock carries `lockrank::PERSIST_STOP`, the lowest rank in
 /// the table, because the tick callback runs while it is held and
-/// acquires hub locks (frontend, stripes, bank shards) underneath.
+/// acquires hub locks (doc reports, stripes, bank shards) underneath.
 pub struct StopSignal {
     stop: lockrank::Mutex<bool>,
     cvar: lockrank::Condvar,
@@ -1188,14 +1124,19 @@ mod tests {
         assert_eq!(out.entries, n);
         assert!(out.warning.is_none());
 
-        // A check on the restored hub is pure reuse — and render-free.
+        // A check on the restored hub is pure reuse, and it renders
+        // nothing beyond what the load rendered.
         let renders = fresh.bank().renders();
         let a = analyze(SRC, &opts, EngineSel::Uf).unwrap();
         let r = Executor::new(1, opts, EngineSel::Uf).run(&a, &fresh);
         assert_eq!((r.rechecked, r.reused), (0, 2));
         assert!(r.all_typed());
         assert_eq!(r.binding("p").unwrap().outcome.display(), "Int * Bool");
-        assert_eq!(fresh.bank().renders(), renders, "renders came seeded");
+        assert_eq!(
+            fresh.bank().renders(),
+            renders,
+            "the load rendered every restored scheme"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1218,6 +1159,16 @@ mod tests {
         assert!(!out.loaded);
         assert!(out.warning.unwrap().contains("epoch"));
         assert_eq!(fresh.cache().len(), 0, "nothing applied");
+
+        // Another format version is refused before the epoch is read.
+        let mut file = std::fs::read(cfg.file()).unwrap();
+        file[4..8].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+        std::fs::write(cfg.file(), &file).unwrap();
+        let out = load(&fresh, 111, &cfg);
+        assert!(out.warning.unwrap().contains("format version"));
+        let text = crate::stats::prometheus_text(&fresh);
+        assert!(text.contains("freezeml_cache_load_failures_total{reason=\"version\"} 1"));
+        assert_eq!((fresh.cache().len(), fresh.bank().len()), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1258,21 +1209,47 @@ mod tests {
 
         // A checksum-valid payload whose node table the bank rejects (a
         // child index past the table) is a malformed snapshot too.
-        let payload = encode_payload(&DecodedSnapshot {
-            nodes: vec![PortableNode::Con(PortableCon::Arrow, vec![5, 5])],
-            ..DecodedSnapshot::default()
-        });
-        let mut file = valid[..HEADER_LEN - 16].to_vec();
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&Hasher64::new().write(&payload).finish().to_le_bytes());
-        file.extend_from_slice(&payload);
-        std::fs::write(cfg.file(), &file).unwrap();
+        rewrite_payload(
+            &cfg,
+            &DecodedSnapshot {
+                nodes: vec![PortableNode::Con(PortableCon::Arrow, vec![5, 5])],
+                ..DecodedSnapshot::default()
+            },
+        );
         let fresh = Shared::new();
         let out = load(&fresh, epoch(&opts), &cfg);
         assert!(!out.loaded);
         assert!(out.warning.unwrap().contains("not topological"));
         let text = crate::stats::prometheus_text(&fresh);
         assert!(text.contains("freezeml_cache_load_failures_total{reason=\"malformed\"} 1"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_defaulted_count_the_scheme_cannot_hold_is_skipped() {
+        let dir = tmp_dir("defaulted");
+        let cfg = PersistConfig::new(&dir);
+        let opts = Options::default();
+        save(&warm_hub(SRC), epoch(&opts), &cfg).unwrap();
+        // One `Int` node; key 1 claims one defaulted variable, key 2
+        // more than any `Int`-typed binding can have.
+        let typed = |defaulted| POutcome::Typed { root: 0, defaulted };
+        rewrite_payload(
+            &cfg,
+            &DecodedSnapshot {
+                nodes: vec![PortableNode::Con(PortableCon::Int, vec![])],
+                entries: vec![(1, 0, typed(1)), (2, 0, typed(u32::MAX))],
+                ..DecodedSnapshot::default()
+            },
+        );
+        let fresh = Shared::new();
+        let out = load(&fresh, epoch(&opts), &cfg);
+        assert_eq!(out.entries, 1, "{:?}", out.warning);
+        let Some(Outcome::Typed { defaulted, .. }) = fresh.cache().get(1) else {
+            panic!("key 1 not restored as typed");
+        };
+        assert_eq!(defaulted, ["a"]);
+        assert_eq!(fresh.cache().get(2), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1328,6 +1305,17 @@ mod tests {
         let r = exec_into(&fresh_hub, "let fresh = true;;\n");
         assert_eq!((r.rechecked, r.reused), (0, 1), "newest stayed warm");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Replace the snapshot's payload with `s`, keeping the file's header
+    /// but making its payload length and checksum match.
+    fn rewrite_payload(cfg: &PersistConfig, s: &DecodedSnapshot) {
+        let payload = encode_payload(s);
+        let mut file = std::fs::read(cfg.file()).unwrap()[..HEADER_LEN - 16].to_vec();
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&Hasher64::new().write(&payload).finish().to_le_bytes());
+        file.extend_from_slice(&payload);
+        std::fs::write(cfg.file(), &file).unwrap();
     }
 
     fn exec_into(shared: &Shared, src: &str) -> CheckReport {

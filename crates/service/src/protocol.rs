@@ -120,7 +120,7 @@ impl Json {
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.fail("trailing characters after JSON value"));
@@ -244,6 +244,11 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest. The deepest legal request is
+/// a batch array of objects (depth 2); the bound keeps the recursive
+/// parser's stack use small whatever a client sends.
+const MAX_DEPTH: usize = 64;
+
 /// A recursive-descent parser over one already-validated `&str`: the
 /// decoder copies out slices of it and never re-checks UTF-8.
 struct JsonParser<'a> {
@@ -284,8 +289,12 @@ impl JsonParser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value inside `depth` enclosing containers.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.bytes.get(self.pos) {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => {
+                Err(self.fail("arrays and objects nest deeper than 64"))
+            }
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -300,7 +309,7 @@ impl JsonParser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
                         Some(b',') => self.pos += 1,
@@ -326,7 +335,7 @@ impl JsonParser<'_> {
                     self.skip_ws();
                     self.eat(b':', "expected `:`")?;
                     self.skip_ws();
-                    let v = self.value()?;
+                    let v = self.value(depth + 1)?;
                     fields.push((k, v));
                     self.skip_ws();
                     match self.bytes.get(self.pos) {
@@ -855,6 +864,15 @@ mod tests {
             "\"\\ud800x\"",
         ] {
             assert!(Json::parse(src).is_err(), "{src} should fail");
+        }
+        // Nesting is bounded at 64 containers, arrays and objects alike.
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), (r#"{"a":"#, "}")] {
+            assert!(Json::parse(&nest(64, open, close)).is_ok(), "{open} × 64");
+            let err = Json::parse(&nest(65, open, close)).unwrap_err();
+            assert_eq!(err.pos, 64 * open.len(), "{open} × 65");
         }
     }
 

@@ -9,7 +9,10 @@
 //! * a `check` whose `doc` is `\u00e9` and `\ud83d\ude00` escapes up to
 //!   just under the cap;
 //! * a `check` whose `doc` is ~4 MiB of raw text. Its `unknown document`
-//!   error echoes the name, so the encoder runs at cap size too.
+//!   error echoes the name, so the encoder runs at cap size too;
+//! * ~4 MiB of `[`, and ~4 MiB of `{"a":`. The decoder refuses the 65th
+//!   nested container, so neither line can overflow the session's
+//!   stack and abort the process.
 
 use freezeml_service::{serve_with, EngineSel, Json, ServeOptions, Service, ServiceConfig};
 use std::io::{self, Cursor, Write};
@@ -135,4 +138,21 @@ fn a_cap_size_echoed_name_encodes_in_linear_time() {
         format!("unknown document `{doc}`")
     );
     assert!(took < LINE_BUDGET, "4 MiB echoed name took {took:?}");
+}
+
+#[test]
+fn cap_size_nesting_is_refused_at_the_depth_bound() {
+    for unit in ["[", r#"{"a":"#] {
+        let line = unit.repeat(((4 << 20) - 64) / unit.len());
+        let (responses, took) = serve_around(&line);
+        let msg = error_message(&responses[1]);
+        assert_eq!(
+            msg,
+            format!(
+                "JSON error at byte {}: arrays and objects nest deeper than 64",
+                64 * unit.len()
+            ),
+        );
+        assert!(took < LINE_BUDGET, "4 MiB of {unit} took {took:?}");
+    }
 }

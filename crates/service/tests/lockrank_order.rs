@@ -59,8 +59,8 @@ fn rank_constants_encode_the_production_nesting_order() {
 /// The deepest production nesting, end to end under the debug witness:
 /// a periodic checkpoint tick runs `persist::save` while holding the
 /// stop-signal lock (PERSIST_STOP, the lowest service rank precisely
-/// because of this), and `save` walks the frontend, doc reports, cache
-/// stripes, and bank shards. Any inversion in that chain panics the
+/// because of this), and `save` walks the doc reports, cache stripes,
+/// and bank shards. Any inversion in that chain panics the
 /// checkpointer thread, the tick never lands, and this test times out
 /// loudly instead of passing.
 #[test]

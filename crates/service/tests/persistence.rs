@@ -51,7 +51,8 @@ impl Drop for TmpDir {
 }
 
 /// Render a report to its comparable essence: binding names plus
-/// canonical verdicts (scheme text / error class / blocker).
+/// canonical verdicts (scheme text and defaulted names / error class /
+/// blocker).
 fn essence(r: &CheckReport) -> Vec<(String, String)> {
     r.bindings
         .iter()
@@ -59,7 +60,7 @@ fn essence(r: &CheckReport) -> Vec<(String, String)> {
             let v = match &b.outcome {
                 freezeml_service::Outcome::Typed {
                     scheme, defaulted, ..
-                } => format!("ok {scheme} [{}]", defaulted.len()),
+                } => format!("ok {scheme} [{}]", defaulted.join(", ")),
                 freezeml_service::Outcome::Error { class, .. } => format!("err {class}"),
                 freezeml_service::Outcome::Blocked { on } => format!("blocked {on}"),
                 freezeml_service::Outcome::Disagreement { core, uf } => {
@@ -84,8 +85,10 @@ fn restarted(engine: EngineSel, dir: &TmpDir) -> (Service, persist::LoadOutcome)
     (svc, out)
 }
 
-/// The Figure 1 rows usable as top-level bindings: standard mode, no
-/// extra environment.
+/// The Figure 1 rows usable as top-level bindings (standard mode, no
+/// extra environment), then `defaulting.rs`'s value-restriction
+/// programs: residuals named past a named dependency binder, past an
+/// unnamed binder, and alone.
 fn figure1_program() -> String {
     let bodies: Vec<&str> = freezeml_corpus::EXAMPLES
         .iter()
@@ -99,6 +102,10 @@ fn figure1_program() -> String {
     }
     text.push_str("let tail_id = $(fun x -> x);;\n");
     text.push_str("let tail_use = poly ~tail_id;;\n");
+    text.push_str("let (myid : forall a. a -> a) = fun x -> x;;\n");
+    text.push_str("let p = pair ~myid (single id);;\n");
+    text.push_str("let q = pair $(fun x -> x) (single id);;\n");
+    text.push_str("let xs = single id;;\n");
     text
 }
 
@@ -110,6 +117,7 @@ fn persisted_warm_equals_scratch_across_engines_and_restarts() {
     for engine in [EngineSel::Core, EngineSel::Uf, EngineSel::Both] {
         let dir = TmpDir::new(&format!("diff-{engine:?}"));
         let cold = scratch(engine, &fig1);
+        assert!(cold.iter().any(|(_, v)| v.ends_with("[a]")), "defaulting");
 
         // Cycle 1: check cold with the cache attached, snapshot.
         let (mut svc, out) = restarted(engine, &dir);
@@ -118,8 +126,10 @@ fn persisted_warm_equals_scratch_across_engines_and_restarts() {
         svc.save_cache().unwrap().unwrap();
         drop(svc);
 
-        // Cycle 2: restart, verify the warm verdicts, edit (a generated
-        // program opens alongside), snapshot again.
+        // Cycle 2: restart, verify the warm verdicts (from the restored
+        // document report, then from the restored verdicts once an edit
+        // misses that report), edit (a generated program opens
+        // alongside), snapshot again.
         let (mut svc, out) = restarted(engine, &dir);
         assert!(out.loaded, "snapshot must load: {:?}", out.warning);
         let warm = svc.open("doc", &fig1).unwrap();
@@ -128,6 +138,10 @@ fn persisted_warm_equals_scratch_across_engines_and_restarts() {
             "fully persisted program rechecks nothing"
         );
         assert_eq!(essence(warm), cold);
+        let appended = format!("{fig1}let extra = 1;;\n");
+        let warm = svc.edit("doc", &appended).unwrap();
+        assert_eq!(warm.rechecked, 1, "only `extra` is new");
+        assert_eq!(essence(warm), scratch(engine, &appended));
         let gen = GenProgram::generate(36, 0xD1FF);
         assert_eq!(
             essence(svc.open("gen", &gen.text()).unwrap()),
@@ -172,21 +186,36 @@ fn a_persisted_warm_start_schedules_no_work_at_all() {
     let (mut svc, out) = restarted(EngineSel::Uf, &dir);
     assert!(out.loaded);
     assert!(out.nodes > 0, "the scheme DAG travelled");
+    let shared = Arc::clone(svc.shared());
+    let loaded_renders = shared.bank().renders();
+    assert!(loaded_renders > 0, "the load renders the restored schemes");
+    // (chunks cached, parse hits, parse misses)
+    let parses = || {
+        let fe = shared.frontend();
+        (fe.chunk_count(), fe.parse_hits(), fe.parse_misses())
+    };
+    assert_eq!(parses(), (0, 0, 0), "a load parses nothing");
     let report = svc.open("doc", &text).unwrap();
     assert_eq!(report.rechecked, 0);
     assert_eq!(report.waves, 0, "no scheduling on a persisted warm start");
     assert_eq!(report.reused, 64);
     assert_eq!(
-        svc.shared().bank().renders(),
-        0,
-        "persisted render table serves every scheme string; the bank \
-         materialises nothing"
+        shared.bank().renders(),
+        loaded_renders,
+        "the open renders nothing beyond what the load rendered"
+    );
+    assert_eq!(
+        parses(),
+        (0, 0, 0),
+        "the document-report hit parses nothing"
     );
 
     // And the first edit after a restart lands on the warm cache: only
-    // the dirty cone is rechecked.
+    // the dirty cone is rechecked. It is the first analysis, so it
+    // parses every chunk of the document.
     let edited = gen.with_edit(32, 99).text();
     let report = svc.edit("doc", &edited).unwrap();
+    assert_eq!(parses(), (64, 0, 64), "each chunk parsed once");
     assert!(report.rechecked > 0, "the edit dirties its cone");
     assert!(
         report.rechecked < 64,

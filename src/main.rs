@@ -308,8 +308,8 @@ fn report_load(out: &LoadOutcome) {
     } else if out.loaded {
         eprintln!(
             "freezeml: cache: warm start ({} verdict(s), {} document report(s), \
-             {} parsed declaration(s), {} scheme node(s), generation {})",
-            out.entries, out.docs, out.chunks, out.nodes, out.generation
+             {} scheme node(s), generation {})",
+            out.entries, out.docs, out.nodes, out.generation
         );
     }
 }
@@ -490,8 +490,8 @@ fn cmd_check(
         Some(Err(e)) => eprintln!("freezeml: cache: snapshot failed: {e}"),
         Some(Ok(out)) => eprintln!(
             "freezeml: cache: saved {} byte(s) ({} verdict(s), {} document report(s), \
-             {} declaration(s), generation {})",
-            out.bytes, out.entries, out.docs, out.chunks, out.generation
+             generation {})",
+            out.bytes, out.entries, out.docs, out.generation
         ),
         None => {}
     }

@@ -13,13 +13,13 @@
 //!   `EXPERIMENTS.md` for recorded numbers and the recheck-counter
 //!   assertions in `crates/service/tests/throughput.rs`);
 //! * `service/proto/warm-edit/<n>` — the same edit sent as a protocol
-//!   line, in process: the client's request encoding, `handle_line`
-//!   (decode, edit, report) and the response encoding into a reused
-//!   buffer, with no socket and no sleeps. Against
-//!   `service/warm-edit/<n>` it prices the protocol boundary;
+//!   line, in process: the client's request encoding and `handle_line`
+//!   (decode, edit, and the report written into a reused buffer), with
+//!   no socket and no sleeps. Against `service/warm-edit/<n>` it prices
+//!   the protocol boundary;
 //! * `service/proto/check/<n>` — a `check` line on an unchanged
 //!   document: a document-report cache hit, so the row is almost all
-//!   report building and encoding;
+//!   report writing;
 //! * `service/proto/decode/<64K|1M>` — an `edit` line of that many
 //!   bytes of program text for a document that is not open: decoding
 //!   the line is the work, the answer is a short error;
@@ -124,11 +124,12 @@ fn bench_warm_edit(c: &mut Criterion) {
     group.finish();
 }
 
-/// One protocol round trip in process: `handle_line`, then the response
-/// encoded into `out` the way the serving loop does it.
+/// One protocol round trip in process: `handle_line` writing the
+/// response into `out`, the buffer reused the way the serving loop
+/// reuses it.
 fn round_trip(svc: &mut Service, line: &str, out: &mut String) -> usize {
     out.clear();
-    handle_line(svc, line).write_to(out);
+    handle_line(svc, line, out);
     out.push('\n');
     out.len()
 }

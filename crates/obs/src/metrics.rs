@@ -364,7 +364,9 @@ pub struct CmdMetrics {
     pub count: Counter,
     /// Requests answered with `ok:false`.
     pub errors: Counter,
-    /// End-to-end request latency (receive → response written).
+    /// Request latency: from the decoded request to its answer written
+    /// into the session buffer. Line decode and the transport write are
+    /// outside it.
     pub latency: Histogram,
 }
 

@@ -45,6 +45,12 @@
 //! `waves`); errors
 //! respond `{"ok":false,"error":{…}}` with `line`/`col` when the failure
 //! has a source position.
+//!
+//! Every answer is appended to the caller's buffer ([`handle_line`]).
+//! Reports, the one answer that grows with the document, are written
+//! straight from the stored verdicts by [`write_report`]; the small
+//! answers are built as a [`Json`] value and encoded with
+//! [`Json::write_to`].
 
 use crate::exec::CheckReport;
 use crate::service::{Service, ServiceError};
@@ -614,9 +620,10 @@ impl Request {
 
 // ------------------------------------------------------------- responses
 
-/// The response to a successful `open`/`edit`/`check`: the full report.
-/// Positions come from one [`LineIndex`] of `src`, so locating every
-/// binding costs one pass over the text plus a binary search each.
+/// The response to a successful `open`/`edit`/`check`, as a `Json`
+/// tree. The server no longer calls this: it writes the same bytes with
+/// [`write_report`], which is tested against this reference byte for
+/// byte. Positions come from one [`LineIndex`] of `src`.
 pub fn report_json(doc: &str, report: &CheckReport, src: &str) -> Json {
     let lines = LineIndex::new(src);
     let bindings: Vec<Json> = report
@@ -674,6 +681,80 @@ pub fn report_json(doc: &str, report: &CheckReport, src: &str) -> Json {
     ])
 }
 
+/// Append a count the way `Json::Num(n as f64)` encodes it.
+fn write_count(out: &mut String, n: usize) {
+    Json::Num(n as f64).write_to(out);
+}
+
+/// Append the response to a successful `open`/`edit`/`check` to `out`:
+/// exactly the bytes of [`report_json`]`(doc, report, src).write_to(out)`,
+/// written straight from the report. Positions come from one
+/// [`LineIndex`] of `src`; each binding then costs a binary search and a
+/// few appends, and allocates nothing.
+pub fn write_report(out: &mut String, doc: &str, report: &CheckReport, src: &str) {
+    let lines = LineIndex::new(src);
+    out.push_str("{\"ok\":true,\"doc\":");
+    write_escaped(out, doc);
+    out.push_str(",\"bindings\":[");
+    for (i, b) in report.bindings.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let (line, col) = lines.line_col(b.span.start);
+        out.push_str("{\"name\":");
+        write_escaped(out, &b.name);
+        out.push_str(",\"line\":");
+        write_count(out, line);
+        out.push_str(",\"col\":");
+        write_count(out, col);
+        use crate::db::Outcome::*;
+        match &b.outcome {
+            Typed {
+                scheme, defaulted, ..
+            } => {
+                out.push_str(",\"status\":\"ok\",\"type\":");
+                write_escaped(out, scheme);
+                if !defaulted.is_empty() {
+                    out.push_str(",\"defaulted\":[");
+                    for (j, name) in defaulted.iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        write_escaped(out, name);
+                    }
+                    out.push(']');
+                }
+            }
+            Error { class, message } => {
+                out.push_str(",\"status\":\"error\",\"class\":");
+                write_escaped(out, class);
+                out.push_str(",\"message\":");
+                write_escaped(out, message);
+            }
+            Blocked { on } => {
+                out.push_str(",\"status\":\"blocked\",\"on\":");
+                write_escaped(out, on);
+            }
+            Disagreement { core, uf } => {
+                out.push_str(",\"status\":\"disagreement\",\"core\":");
+                write_escaped(out, core);
+                out.push_str(",\"uf\":");
+                write_escaped(out, uf);
+            }
+        }
+        out.push('}');
+    }
+    out.push_str("],\"rechecked\":");
+    write_count(out, report.rechecked);
+    out.push_str(",\"reused\":");
+    write_count(out, report.reused);
+    out.push_str(",\"blocked\":");
+    write_count(out, report.blocked);
+    out.push_str(",\"waves\":");
+    write_count(out, report.waves);
+    out.push('}');
+}
+
 /// An error response, with a source position when available. Deadline
 /// exhaustion answers the flat shape `{"ok":false,"error":"deadline"}`
 /// the resilience contract specifies — machine-matchable without
@@ -694,20 +775,31 @@ pub fn error_json(err: &ServiceError, src: Option<&str>) -> Json {
     Json::obj([("ok", Json::Bool(false)), ("error", Json::Obj(fields))])
 }
 
-/// The report a successful `open`/`edit`/`check` just stored, encoded
-/// against the document's text: both are borrowed from the service.
-fn stored_report_json(svc: &Service, doc: &str) -> Json {
+/// Append the report a successful `open`/`edit`/`check` just stored,
+/// written against the document's text: both are borrowed from the
+/// service. Returns whether the answer is an error.
+fn write_stored_report(svc: &Service, doc: &str, out: &mut String) -> bool {
     match svc.report(doc).zip(svc.text(doc)) {
-        Some((report, src)) => report_json(doc, report, src),
+        Some((report, src)) => {
+            write_report(out, doc, report, src);
+            false
+        }
         // A successful check always stores its report; this arm only
         // keeps the answer well formed.
-        None => error_json(&ServiceError::UnknownDoc(doc.to_string()), None),
+        None => {
+            error_json(&ServiceError::UnknownDoc(doc.to_string()), None).write_to(out);
+            true
+        }
     }
 }
 
-/// Handle one request against a service, producing the response value.
-pub fn handle(svc: &mut Service, req: &Request) -> Json {
-    match req {
+/// Handle one request against a service, appending the response to
+/// `out`. Returns whether the response is an error (`"ok":false`).
+/// Reports are written straight from the stored verdicts; the small
+/// answers are built as a `Json` value first.
+pub fn handle(svc: &mut Service, req: &Request, out: &mut String) -> bool {
+    // `Err` carries an error answer, `Ok` any other.
+    let answer = match req {
         Request::Open { doc, text } | Request::Edit { doc, text } => {
             let r = if matches!(req, Request::Open { .. }) {
                 svc.open(doc, text)
@@ -715,36 +807,36 @@ pub fn handle(svc: &mut Service, req: &Request) -> Json {
                 svc.edit(doc, text)
             };
             match r {
-                Ok(_) => stored_report_json(svc, doc),
-                Err(e) => error_json(&e, Some(text)),
+                Ok(_) => return write_stored_report(svc, doc, out),
+                Err(e) => Err(error_json(&e, Some(text))),
             }
         }
         Request::Check { doc } => match svc.check(doc) {
-            Ok(_) => stored_report_json(svc, doc),
-            Err(e) => error_json(&e, svc.text(doc)),
+            Ok(_) => return write_stored_report(svc, doc, out),
+            Err(e) => Err(error_json(&e, svc.text(doc))),
         },
         Request::TypeOf { doc, name } => match svc.type_of(doc, name) {
-            Err(e) => error_json(&e, None),
-            Ok(None) => Json::obj([
+            Err(e) => Err(error_json(&e, None)),
+            Ok(None) => Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("name", Json::Str(name.clone())),
                 ("found", Json::Bool(false)),
-            ]),
-            Ok(Some(b)) => Json::obj([
+            ])),
+            Ok(Some(b)) => Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("name", Json::Str(name.clone())),
                 ("found", Json::Bool(true)),
                 ("result", Json::Str(b.outcome.display())),
-            ]),
+            ])),
         },
         Request::Elaborate { doc, name } => match svc.elaborate(doc, name) {
-            Err(e) => error_json(&e, None),
-            Ok(None) => Json::obj([
+            Err(e) => Err(error_json(&e, None)),
+            Ok(None) => Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("name", Json::Str(name.clone())),
                 ("found", Json::Bool(false)),
-            ]),
-            Ok(Some(info)) => Json::obj([
+            ])),
+            Ok(Some(info)) => Ok(Json::obj([
                 ("ok", Json::Bool(true)),
                 ("name", Json::Str(name.clone())),
                 ("found", Json::Bool(true)),
@@ -753,26 +845,32 @@ pub fn handle(svc: &mut Service, req: &Request) -> Json {
                 // The image passed the System F typing oracle before
                 // being served — always true in a success response.
                 ("checked", Json::Bool(true)),
-            ]),
+            ])),
         },
-        Request::Close { doc } => Json::obj([
+        Request::Close { doc } => Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("closed", Json::Bool(svc.close(doc))),
-        ]),
-        Request::Stats => stats::stats_json(svc.shared()),
-        Request::Metrics => Json::obj([
+        ])),
+        Request::Stats => Ok(stats::stats_json(svc.shared())),
+        Request::Metrics => Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("metrics", Json::Str(stats::prometheus_text(svc.shared()))),
-        ]),
+        ])),
         Request::Shutdown => {
             // Flip the hub into draining; the socket accept loop (and
             // the foreground `join`) observe the flag and wind down.
             // The acknowledgement still goes out on this connection —
             // draining finishes in-flight work, it does not cut lines.
             svc.shared().request_drain();
-            Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))])
+            Ok(Json::obj([
+                ("ok", Json::Bool(true)),
+                ("draining", Json::Bool(true)),
+            ]))
         }
-    }
+    };
+    let (Ok(v) | Err(v)) = &answer;
+    v.write_to(out);
+    answer.is_err()
 }
 
 fn request_error(msg: String) -> Json {
@@ -782,36 +880,35 @@ fn request_error(msg: String) -> Json {
     ])
 }
 
-/// Is this response an error (`"ok":false`)?
-fn is_error_response(resp: &Json) -> bool {
-    resp.get("ok") == Some(&Json::Bool(false))
-}
-
-fn handle_value(svc: &mut Service, v: &Json) -> Json {
+fn handle_value(svc: &mut Service, v: &Json, out: &mut String) {
     svc.begin_request();
     let t0 = Instant::now();
-    let (cmd, resp) = match Request::from_json(v) {
-        Ok(req) => (stats::cmd_of(&req), handle(svc, &req)),
-        Err(msg) => (Cmd::Invalid, request_error(msg)),
+    let (cmd, is_error) = match Request::from_json(v) {
+        Ok(req) => (stats::cmd_of(&req), handle(svc, &req, out)),
+        Err(msg) => {
+            request_error(msg).write_to(out);
+            (Cmd::Invalid, true)
+        }
     };
     svc.shared()
         .metrics()
-        .record_request(cmd, t0.elapsed(), is_error_response(&resp));
-    resp
+        .record_request(cmd, t0.elapsed(), is_error);
 }
 
-/// Answer a line that never reached a command with `resp`, counted as
-/// an `invalid` request error (transport rejections and bad JSON alike).
-pub(crate) fn reject(svc: &mut Service, resp: Json) -> Json {
+/// Answer a line that never reached a command with `resp`, appended to
+/// `out` and counted as an `invalid` request error (transport rejections
+/// and bad JSON alike).
+pub(crate) fn reject(svc: &mut Service, resp: Json, out: &mut String) {
     svc.begin_request();
     svc.shared()
         .metrics()
         .record_request(Cmd::Invalid, std::time::Duration::ZERO, true);
-    resp
+    resp.write_to(out);
 }
 
-/// Handle one raw request line (bad JSON / unknown commands become error
-/// responses, never panics).
+/// Handle one raw request line, appending its response line (without
+/// the newline) to `out`. Bad JSON and unknown commands become error
+/// responses, never panics.
 ///
 /// **Batching:** a line whose JSON value is an *array* of requests is
 /// handled element by element, in order, against the same session, and
@@ -819,11 +916,20 @@ pub(crate) fn reject(svc: &mut Service, resp: Json) -> Json {
 /// one flush, one network round trip for a whole burst of edits. An
 /// element that fails to parse gets its error response in position; the
 /// rest of the batch still runs.
-pub fn handle_line(svc: &mut Service, line: &str) -> Json {
+pub fn handle_line(svc: &mut Service, line: &str, out: &mut String) {
     match Json::parse(line) {
-        Err(e) => reject(svc, request_error(e.to_string())),
-        Ok(Json::Arr(items)) => Json::Arr(items.iter().map(|v| handle_value(svc, v)).collect()),
-        Ok(v) => handle_value(svc, &v),
+        Err(e) => reject(svc, request_error(e.to_string()), out),
+        Ok(Json::Arr(items)) => {
+            out.push('[');
+            for (i, v) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                handle_value(svc, v, out);
+            }
+            out.push(']');
+        }
+        Ok(v) => handle_value(svc, &v, out),
     }
 }
 
@@ -900,10 +1006,17 @@ mod tests {
         })
     }
 
+    /// One line's answer, parsed back.
+    fn ask(s: &mut Service, line: &str) -> Json {
+        let mut out = String::new();
+        handle_line(s, line, &mut out);
+        Json::parse(&out).expect("every answer is one JSON value")
+    }
+
     #[test]
     fn protocol_smoke_full_session() {
         let mut s = svc();
-        let open = handle_line(
+        let open = ask(
             &mut s,
             r##"{"cmd":"open","doc":"m","text":"#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n"}"##,
         );
@@ -920,32 +1033,32 @@ mod tests {
         );
         assert_eq!(bindings[1].get("line").and_then(Json::as_num), Some(3.0));
 
-        let t = handle_line(&mut s, r#"{"cmd":"type-of","doc":"m","name":"f"}"#);
+        let t = ask(&mut s, r#"{"cmd":"type-of","doc":"m","name":"f"}"#);
         assert_eq!(
             t.get("result").and_then(Json::as_str),
             Some("forall a. a -> a")
         );
 
         // Warm edit: only `p`'s dependency cone is rechecked.
-        let edit = handle_line(
+        let edit = ask(
             &mut s,
             r##"{"cmd":"edit","doc":"m","text":"#use prelude\nlet f = fun x -> x;;\nlet p = pair (poly ~f) 1;;\n"}"##,
         );
         assert_eq!(edit.get("rechecked").and_then(Json::as_num), Some(1.0));
         assert_eq!(edit.get("reused").and_then(Json::as_num), Some(1.0));
 
-        let close = handle_line(&mut s, r#"{"cmd":"close","doc":"m"}"#);
+        let close = ask(&mut s, r#"{"cmd":"close","doc":"m"}"#);
         assert_eq!(close.get("closed"), Some(&Json::Bool(true)));
     }
 
     #[test]
     fn elaborate_serves_an_oracle_checked_image() {
         let mut s = svc();
-        handle_line(
+        ask(
             &mut s,
             r##"{"cmd":"open","doc":"m","text":"#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n"}"##,
         );
-        let r = handle_line(&mut s, r#"{"cmd":"elaborate","doc":"m","name":"f"}"#);
+        let r = ask(&mut s, r#"{"cmd":"elaborate","doc":"m","name":"f"}"#);
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(r.get("found"), Some(&Json::Bool(true)));
         assert_eq!(r.get("checked"), Some(&Json::Bool(true)));
@@ -958,7 +1071,7 @@ mod tests {
             Some("forall a. a -> a")
         );
         // A binding with dependencies elaborates under their schemes.
-        let r = handle_line(&mut s, r#"{"cmd":"elaborate","doc":"m","name":"p"}"#);
+        let r = ask(&mut s, r#"{"cmd":"elaborate","doc":"m","name":"p"}"#);
         assert_eq!(r.get("type").and_then(Json::as_str), Some("Int * Bool"));
         assert!(r
             .get("fterm")
@@ -966,9 +1079,9 @@ mod tests {
             .unwrap()
             .contains("poly"));
         // Unknown names report found:false; unknown docs error.
-        let r = handle_line(&mut s, r#"{"cmd":"elaborate","doc":"m","name":"zzz"}"#);
+        let r = ask(&mut s, r#"{"cmd":"elaborate","doc":"m","name":"zzz"}"#);
         assert_eq!(r.get("found"), Some(&Json::Bool(false)));
-        let r = handle_line(&mut s, r#"{"cmd":"elaborate","doc":"nope","name":"f"}"#);
+        let r = ask(&mut s, r#"{"cmd":"elaborate","doc":"nope","name":"f"}"#);
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
         // Round trip of the request itself.
         let req = Request::parse(r#"{"cmd":"elaborate","doc":"m","name":"f"}"#).unwrap();
@@ -978,12 +1091,12 @@ mod tests {
     #[test]
     fn elaborate_refuses_ill_typed_and_blocked_bindings() {
         let mut s = svc();
-        handle_line(
+        ask(
             &mut s,
             r##"{"cmd":"open","doc":"m","text":"#use prelude\nlet bad = plus true 1;;\nlet child = plus bad 1;;\n"}"##,
         );
         for name in ["bad", "child"] {
-            let r = handle_line(
+            let r = ask(
                 &mut s,
                 &format!(r#"{{"cmd":"elaborate","doc":"m","name":"{name}"}}"#),
             );
@@ -1000,7 +1113,7 @@ mod tests {
     #[test]
     fn parse_errors_carry_positions() {
         let mut s = svc();
-        let r = handle_line(&mut s, r#"{"cmd":"open","doc":"m","text":"let x = ;;"}"#);
+        let r = ask(&mut s, r#"{"cmd":"open","doc":"m","text":"let x = ;;"}"#);
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
         let err = r.get("error").expect("error object");
         assert!(err.get("line").is_some());
@@ -1020,7 +1133,7 @@ mod tests {
             r#"{"cmd":42}"#,
             r#"{"cmd":"check","doc":"nope"}"#,
         ] {
-            let r = handle_line(&mut s, line);
+            let r = ask(&mut s, line);
             assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{line}");
         }
     }
@@ -1028,7 +1141,7 @@ mod tests {
     #[test]
     fn a_batch_line_answers_with_an_array_in_order() {
         let mut s = svc();
-        let r = handle_line(
+        let r = ask(
             &mut s,
             concat!(
                 r#"[{"cmd":"open","doc":"m","text":"let x = 1;;"},"#,
@@ -1049,7 +1162,7 @@ mod tests {
     #[test]
     fn a_bad_batch_element_fails_in_place_without_aborting_the_batch() {
         let mut s = svc();
-        let r = handle_line(
+        let r = ask(
             &mut s,
             concat!(
                 r#"[{"cmd":"open","doc":"m","text":"let x = 1;;"},"#,
@@ -1070,13 +1183,13 @@ mod tests {
     #[test]
     fn an_empty_batch_answers_with_an_empty_array() {
         let mut s = svc();
-        assert_eq!(handle_line(&mut s, "[]"), Json::Arr(vec![]));
+        assert_eq!(ask(&mut s, "[]"), Json::Arr(vec![]));
     }
 
     #[test]
     fn errors_and_blocked_bindings_are_reported_with_status() {
         let mut s = svc();
-        let r = handle_line(
+        let r = ask(
             &mut s,
             r##"{"cmd":"open","doc":"m","text":"#use prelude\nlet bad = plus true 1;;\nlet child = plus bad 1;;\nlet ok = 1;;\n"}"##,
         );
@@ -1095,12 +1208,12 @@ mod tests {
     fn shutdown_flips_the_hub_into_draining_and_parses_strictly() {
         let mut s = svc();
         assert!(!s.shared().draining());
-        let r = handle_line(&mut s, r#"{"cmd":"shutdown"}"#);
+        let r = ask(&mut s, r#"{"cmd":"shutdown"}"#);
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(r.get("draining"), Some(&Json::Bool(true)));
         assert!(s.shared().draining());
         // Like stats/metrics, shutdown takes no other fields.
-        let bad = handle_line(&mut s, r#"{"cmd":"shutdown","doc":"m"}"#);
+        let bad = ask(&mut s, r#"{"cmd":"shutdown","doc":"m"}"#);
         assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
         // Round trip.
         assert_eq!(
@@ -1115,7 +1228,7 @@ mod tests {
         s.set_deadline(Some(
             std::time::Instant::now() - std::time::Duration::from_millis(1),
         ));
-        let r = handle_line(&mut s, r#"{"cmd":"open","doc":"m","text":"let x = 1;;"}"#);
+        let r = ask(&mut s, r#"{"cmd":"open","doc":"m","text":"let x = 1;;"}"#);
         // Exactly two fields, flat — the shape a client's retry logic
         // keys on, distinct from the object-shaped data errors.
         assert_eq!(
@@ -1129,7 +1242,7 @@ mod tests {
         // With the deadline lifted the same request succeeds — nothing
         // poisoned, and partial progress was never cached as final.
         s.set_deadline(None);
-        let r = handle_line(&mut s, r#"{"cmd":"open","doc":"m","text":"let x = 1;;"}"#);
+        let r = ask(&mut s, r#"{"cmd":"open","doc":"m","text":"let x = 1;;"}"#);
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
     }
 }

@@ -181,7 +181,7 @@ pub fn serve_with<R: BufRead, W: Write>(
 ) -> io::Result<()> {
     let budget = opts.request_timeout_ms.map(Duration::from_millis);
     let mut buf: Vec<u8> = Vec::new();
-    // Every response is encoded into this one buffer.
+    // Every response is written into this one buffer.
     let mut out = String::new();
     loop {
         // A drain request ends the session at the request boundary:
@@ -197,7 +197,8 @@ pub fn serve_with<R: BufRead, W: Write>(
         else {
             return Ok(());
         };
-        let response = match raw {
+        out.clear();
+        match raw {
             RawLine::TimedOut => {
                 if svc.shared().draining() {
                     // The timeout wake-up raced a drain: the client
@@ -215,12 +216,12 @@ pub fn serve_with<R: BufRead, W: Write>(
             RawLine::Oversized { len } => {
                 let limit = opts.max_request_bytes;
                 let msg = format!("request of {len} bytes exceeds the {limit}-byte limit");
-                reject(svc, transport_error("oversized", msg))
+                reject(svc, transport_error("oversized", msg), &mut out);
             }
             RawLine::Line => match std::str::from_utf8(&buf) {
                 Err(e) => {
                     let msg = format!("request is not valid UTF-8: {e}");
-                    reject(svc, transport_error("encoding", msg))
+                    reject(svc, transport_error("encoding", msg), &mut out);
                 }
                 Ok(line) => {
                     if line.trim().is_empty() {
@@ -228,7 +229,7 @@ pub fn serve_with<R: BufRead, W: Write>(
                     }
                     let t0 = Instant::now();
                     svc.set_deadline(deadline);
-                    let resp = handle_line(svc, line);
+                    handle_line(svc, line, &mut out);
                     svc.set_deadline(None);
                     if let Some(limit) = opts.slow_ms {
                         let ms = t0.elapsed().as_millis() as u64;
@@ -242,21 +243,18 @@ pub fn serve_with<R: BufRead, W: Write>(
                             );
                         }
                     }
-                    resp
                 }
             },
-        };
+        }
         // One write per response: a `writeln!` straight to a socket
         // splits into tiny writes, and Nagle + delayed ACK turns each
         // round trip into a ~40 ms stall.
-        out.clear();
-        response.write_to(&mut out);
         out.push('\n');
         let written = writer
             .write_all(out.as_bytes())
             .and_then(|()| writer.flush());
         // An idle session keeps at most one request cap's worth of
-        // encode buffer: a larger response's buffer goes back now.
+        // response buffer: a larger response's buffer goes back now.
         if out.capacity() > opts.max_request_bytes {
             out = String::new();
         }

@@ -90,6 +90,9 @@ impl std::error::Error for ServiceError {}
 
 struct Document {
     text: String,
+    /// `text`'s document-report cache key and verification digest
+    /// ([`Service::doc_id`]), computed once when `text` is set.
+    id: (u64, u64),
     /// The analysis, computed lazily: a document served wholesale from
     /// the document-report cache never parses at all — the analysis is
     /// built on first demand (an edit, `elaborate`, a doc-cache miss).
@@ -264,11 +267,13 @@ impl Service {
         if hit.is_some() {
             let entry = self.docs.entry(doc.to_string()).or_insert(Document {
                 text: String::new(),
+                id,
                 analysis: OnceCell::new(),
                 report: None,
             });
             if entry.text != text {
                 entry.text = text.to_string();
+                entry.id = id;
                 entry.analysis = OnceCell::new();
             }
             return self.serve(doc, id, hit);
@@ -293,6 +298,7 @@ impl Service {
                     doc.to_string(),
                     Document {
                         text: text.to_string(),
+                        id,
                         analysis: cell,
                         report: None,
                     },
@@ -309,6 +315,7 @@ impl Service {
                 cell.set(Err(e.clone())).ok();
                 self.docs.entry(doc.to_string()).or_insert(Document {
                     text: text.to_string(),
+                    id,
                     analysis: cell,
                     report: None,
                 });
@@ -379,17 +386,19 @@ impl Service {
         self.set_text(doc, text)
     }
 
-    /// (Re)check a document. With a warm cache this is nearly free.
+    /// (Re)check a document. With a warm cache this is nearly free: the
+    /// document-report cache is probed with the key stored beside the
+    /// text, so the text is not hashed again.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownDoc`] / [`ServiceError::Parse`].
     pub fn check(&mut self, doc: &str) -> Result<&CheckReport, ServiceError> {
-        let entry = self
+        let id = self
             .docs
             .get(doc)
-            .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
-        let id = self.doc_id(&entry.text);
+            .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?
+            .id;
         let hit = self.probe(id);
         self.serve(doc, id, hit)
     }

@@ -13,6 +13,10 @@
 //! Latencies come out of the log-bucketed histograms as both derived
 //! percentiles (`p50_us`/`p90_us`/`p99_us`, octave-accurate) and the
 //! raw non-empty buckets, so a client can compute any quantile itself.
+//! A command's latency runs from its decoded JSON value to its answer
+//! written into the session buffer, so it covers writing the answer
+//! body (the whole report, for `open`/`edit`/`check`). Decoding the
+//! line and writing the buffer to the transport fall outside it.
 //!
 //! The Prometheus rendering is the plain text exposition format:
 //! `# TYPE` lines, cumulative `_bucket{le="…"}` series (in seconds)
@@ -390,7 +394,7 @@ mod tests {
     fn warmed_service() -> Service {
         let mut s = uf_service();
         for line in WARMING {
-            handle_line(&mut s, line);
+            handle_line(&mut s, line, &mut String::new());
         }
         s
     }
@@ -406,11 +410,11 @@ mod tests {
         };
         // One document-report probe per request: the open misses once,
         // and the check that follows hits.
-        handle_line(&mut s, WARMING[0]);
+        handle_line(&mut s, WARMING[0], &mut String::new());
         assert_eq!(doc_probes(&s), (0.0, 1.0), "after open");
-        handle_line(&mut s, WARMING[1]);
+        handle_line(&mut s, WARMING[1], &mut String::new());
         assert_eq!(doc_probes(&s), (1.0, 1.0), "after check");
-        handle_line(&mut s, WARMING[2]);
+        handle_line(&mut s, WARMING[2], &mut String::new());
         let v = stats_json(s.shared());
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         let reports = v.get("reports").expect("reports object");

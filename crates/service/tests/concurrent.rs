@@ -20,6 +20,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+/// One request line's answer, parsed back.
+fn answer(svc: &mut Service, line: &str) -> Json {
+    let mut out = String::new();
+    handle_line(svc, line, &mut out);
+    Json::parse(&out).expect("every answer is one JSON value")
+}
+
 fn cfg(workers: usize) -> ServiceConfig {
     ServiceConfig {
         engine: EngineSel::Uf,
@@ -108,7 +115,7 @@ fn reference(lines: &[String]) -> Vec<Json> {
     let mut svc = Service::new(cfg(1));
     lines
         .iter()
-        .map(|l| strip_counters(handle_line(&mut svc, l)))
+        .map(|l| strip_counters(answer(&mut svc, l)))
         .collect()
 }
 

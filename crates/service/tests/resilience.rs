@@ -37,6 +37,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// One request line's answer, parsed back.
+fn answer(svc: &mut Service, line: &str) -> Json {
+    let mut out = String::new();
+    handle_line(svc, line, &mut out);
+    Json::parse(&out).expect("every answer is one JSON value")
+}
+
 /// Serializes the tests: the failpoint table and its metrics are
 /// process-wide.
 static GATE: Mutex<()> = Mutex::new(());
@@ -303,22 +310,22 @@ fn a_chaos_run_answers_structurally_and_heals_to_exact_agreement() {
         let mut scratch = Service::new(cfg(1));
         let mut survivor = Service::with_shared(cfg(1), Arc::clone(&shared));
         let mut warm = Service::with_shared(cfg(1), Arc::clone(&warmed));
-        let want = strip_counters(handle_line(&mut scratch, &open));
+        let want = strip_counters(answer(&mut scratch, &open));
         assert_eq!(
-            strip_counters(handle_line(&mut survivor, &open)),
+            strip_counters(answer(&mut survivor, &open)),
             want,
             "seed {seed}: the healed hub disagrees with scratch"
         );
         assert_eq!(
-            strip_counters(handle_line(&mut warm, &open)),
+            strip_counters(answer(&mut warm, &open)),
             want,
             "seed {seed}: the warmed hub disagrees with scratch"
         );
         for i in 0..g.len() {
             let probe = format!(r#"{{"cmd":"type-of","doc":"cmp","name":"b{i}"}}"#);
-            let want = strip_counters(handle_line(&mut scratch, &probe));
-            assert_eq!(strip_counters(handle_line(&mut survivor, &probe)), want);
-            assert_eq!(strip_counters(handle_line(&mut warm, &probe)), want);
+            let want = strip_counters(answer(&mut scratch, &probe));
+            assert_eq!(strip_counters(answer(&mut survivor, &probe)), want);
+            assert_eq!(strip_counters(answer(&mut warm, &probe)), want);
         }
     }
     server.shutdown();

@@ -21,6 +21,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+/// One request line's answer, parsed back.
+fn answer(svc: &mut Service, line: &str) -> Json {
+    let mut out = String::new();
+    handle_line(svc, line, &mut out);
+    Json::parse(&out).expect("every answer is one JSON value")
+}
+
 fn cfg(workers: usize) -> ServiceConfig {
     ServiceConfig {
         engine: EngineSel::Uf,
@@ -127,7 +134,7 @@ fn a_panicking_binding_is_an_internal_error_not_a_crash() {
 
     // ── The protocol layer reports the binding with status "error" and
     // the session object stays usable.
-    let r = handle_line(&mut svc, &request);
+    let r = answer(&mut svc, &request);
     assert_eq!(r.get("result").and_then(Json::as_str), Some("Int"));
 
     // ── Over the socket, with the *shared* bank: a session that trips

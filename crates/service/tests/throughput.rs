@@ -11,12 +11,13 @@
 //!   debug constant factors compress the ratio (7–11× observed on a
 //!   2-CPU host), and a regression below 6× would mean the incremental
 //!   path broke;
-//! * the protocol layers alone (request decode, report building and
-//!   encoding) grow linearly with their input.
+//! * the protocol layers alone (request decode, and answering a `check`
+//!   line into the session buffer) grow linearly with their input.
 
 use freezeml_core::Options;
-use freezeml_service::protocol::report_json;
-use freezeml_service::{analyze, EngineSel, GenProgram, Json, Request, Service, ServiceConfig};
+use freezeml_service::{
+    analyze, handle_line, EngineSel, GenProgram, Json, Request, Service, ServiceConfig,
+};
 use std::hint::black_box;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -180,16 +181,19 @@ fn open_line(bytes: usize) -> String {
     .to_string()
 }
 
-/// Building and encoding the open report of `gen n 0`.
+/// Answering a `check` line on `gen n 0` into a reused buffer, as the
+/// serving loop does: a document-report hit, so the time is the
+/// report writer's.
 fn report_cost(n: usize) -> Duration {
     let text = GenProgram::generate(n, 0).text();
     let mut s = svc();
     s.open("m", &text).unwrap();
-    let report = s.report("m").unwrap();
+    let line = r#"{"cmd":"check","doc":"m"}"#;
+    let mut out = String::new();
     best_of_5(|| {
-        let mut out = String::new();
-        report_json("m", report, &text).write_to(&mut out);
-        black_box(out);
+        out.clear();
+        handle_line(&mut s, line, &mut out);
+        black_box(&out);
     })
 }
 
@@ -214,6 +218,6 @@ fn protocol_layers_scale_linearly() {
     let ratio = big.as_secs_f64() / small.as_secs_f64();
     assert!(
         ratio <= LIMIT,
-        "report + encode: 2000 bindings took {big:?}, 250 took {small:?} ({ratio:.1}×)"
+        "check answer: 2000 bindings took {big:?}, 250 took {small:?} ({ratio:.1}×)"
     );
 }

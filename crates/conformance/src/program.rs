@@ -278,7 +278,7 @@ pub fn run_case(case: &ProgramCase, path: &Path, engine: EngineSel) -> CaseOutco
     }
     let mut problems = String::new();
     for (pos, (b, (name, expect))) in report.bindings.iter().zip(&case.expects).enumerate() {
-        if &b.name != name {
+        if b.name != name.as_str() {
             problems.push_str(&format!(
                 "  - binding #{pos}: expected name `{name}`, found `{}`\n",
                 b.name

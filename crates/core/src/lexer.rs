@@ -315,7 +315,10 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 };
                 out.push(Token { kind, pos });
             }
-            other => {
+            _ => {
+                // `c` is the first byte of the character at `i`; name the
+                // whole (possibly multi-byte) character.
+                let other = src.get(i..).and_then(|s| s.chars().next()).unwrap_or(c);
                 return Err(LexError {
                     msg: format!("unexpected character `{other}`"),
                     pos,
@@ -399,6 +402,19 @@ mod tests {
         assert!(lex("x # y").is_err());
         assert!(lex("x ; y").is_err(), "a lone `;` is not a token");
         assert!(lex("#1").is_err(), "pragma names are alphabetic");
+    }
+
+    #[test]
+    fn errors_name_the_whole_non_ascii_character() {
+        for (src, ch, pos) in [
+            ("let été", 'é', 4),
+            ("x 🦀", '🦀', 2),
+            ("\u{a0}", '\u{a0}', 0),
+        ] {
+            let e = lex(src).unwrap_err();
+            assert_eq!(e.msg, format!("unexpected character `{ch}`"), "{src:?}");
+            assert_eq!(e.pos, pos, "{src:?}: the byte position is unchanged");
+        }
     }
 
     #[test]

@@ -28,6 +28,16 @@
 //! edge points backwards and the graph is acyclic by construction. A
 //! binding's wave is therefore one more than the latest wave among its
 //! dependencies (0 without any), computed in the same forward pass.
+//!
+//! ## Patching
+//!
+//! An analysis remembers the chunk layout of its text, so an edit patches
+//! it (`Analysis::patch`) instead of rebuilding it: only the chunks whose
+//! bytes changed are looked up in the parse cache, and only the
+//! declarations they hold, the ones whose names they declared or removed
+//! resolve to, and everything downstream are re-resolved and re-keyed.
+//! The keys keep the meaning above, so a patched analysis equals a full
+//! one; a full analysis is the patch from the empty document.
 
 use crate::hash::{hash_str, Hasher64, U64Map};
 use crate::sync::Arc;
@@ -35,7 +45,8 @@ use freezeml_core::{
     Decl, InstantiationStrategy, Options, ParseError, Program, Span, Symbol, Term, Type, Var,
 };
 use freezeml_obs::{TraceCtx, Tracer};
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
+use std::ops::DerefMut;
 
 /// Which inference engine(s) the service and the conformance harness
 /// drive.
@@ -166,18 +177,56 @@ pub struct DeclInfo {
     pub span: Span,
     /// The bound name (absolute).
     pub name_span: Span,
+    /// The bound name (a copy of the chunk's, read without following
+    /// the `Arc`).
+    name: Symbol,
     chunk: Arc<ParsedDecl>,
+    /// The hash of the declaration's source slice: the text its Merkle
+    /// key covers.
+    content: u64,
 }
 
 impl DeclInfo {
+    /// The declaration of a chunk that starts at byte `at` of `src`.
+    fn new(chunk: Arc<ParsedDecl>, at: usize, src: &str) -> DeclInfo {
+        let span = Span {
+            start: chunk.decl_rel.start + at,
+            end: chunk.decl_rel.end + at,
+        };
+        let name_span = Span {
+            start: chunk.name_rel.start + at,
+            end: chunk.name_rel.end + at,
+        };
+        // The content hash covers exactly the declaration (`let` through
+        // `;;`), NOT the whole chunk, which may carry leading comments: a
+        // comment-only edit re-parses the chunk but must not invalidate
+        // the binding's scheme.
+        let content = hash_str(src.get(span.start..span.end).unwrap_or_default());
+        DeclInfo {
+            span,
+            name_span,
+            name: chunk.name,
+            chunk,
+            content,
+        }
+    }
+
+    /// Move the declaration by `delta` bytes (two's complement).
+    fn shift(&mut self, delta: usize) {
+        for s in [&mut self.span, &mut self.name_span] {
+            s.start = s.start.wrapping_add(delta);
+            s.end = s.end.wrapping_add(delta);
+        }
+    }
+
     /// The bound name.
     pub fn name(&self) -> &'static str {
-        self.chunk.name.as_str()
+        self.name.as_str()
     }
 
     /// The bound name as an interned symbol.
     pub fn name_sym(&self) -> Symbol {
-        self.chunk.name
+        self.name
     }
 
     /// The annotation, if any.
@@ -210,8 +259,31 @@ impl DeclInfo {
     }
 }
 
+/// One chunk of an analysed text: a `;;`-terminated run, or the
+/// unterminated trailer, and what it contributed.
+#[derive(Clone, Copy, Debug)]
+struct Chunk {
+    /// Where the chunk starts, leading whitespace trimmed: `start..end`
+    /// is the slice the parse cache keys.
+    start: usize,
+    /// Just past the chunk's `;;` (the text's end for a trailer).
+    end: usize,
+    /// Declarations in earlier chunks, so the index of this chunk's
+    /// declaration when it has one.
+    first_decl: usize,
+    /// Does the chunk hold a declaration?
+    decl: bool,
+    /// Does the chunk hold `#use prelude`?
+    prelude: bool,
+}
+
 /// A parsed program analysed for checking: resolved dependencies,
 /// topological waves, and cache keys.
+///
+/// An analysis built by [`analyze_cached`] also keeps the chunk layout
+/// of its text, so the service can patch it to an edited text instead
+/// of rebuilding it. One routine does both: a full analysis is the
+/// patch from the empty document.
 #[derive(Clone, Debug)]
 pub struct Analysis {
     /// Does the program request the Figure 2 prelude (`#use prelude`)?
@@ -226,6 +298,18 @@ pub struct Analysis {
     pub waves: Vec<Vec<usize>>,
     /// `keys[i]` — the Merkle cache key of binding `i`.
     pub keys: Vec<u64>,
+    /// `wave_of[i]` — the wave binding `i` sits in.
+    wave_of: Vec<usize>,
+    /// The checker options and engine, absorbed: every key's
+    /// configuration fingerprint continues from here with `#use`.
+    config: Hasher64,
+    /// The text's chunks, in order ([`analyze`]'s whole-program parse
+    /// leaves this empty, so only [`analyze_cached`] analyses patch).
+    chunks: Vec<Chunk>,
+    /// Is the last chunk an unterminated trailer?
+    trailer: bool,
+    /// Chunks holding `#use prelude`.
+    prelude_chunks: usize,
 }
 
 /// A database build failure: the program did not parse.
@@ -259,43 +343,42 @@ struct ParsedDecl {
 }
 
 impl ParsedDecl {
-    fn from_decl(d: Decl) -> (Arc<ParsedDecl>, Span) {
+    fn from_decl(d: Decl) -> Arc<ParsedDecl> {
         let fv = d.term.free_vars();
-        let span = d.span;
-        (
-            Arc::new(ParsedDecl {
-                name: d.name,
-                ann: d.ann,
-                term: d.term,
-                decl_rel: d.span,
-                name_rel: d.name_span,
-                fv,
-            }),
-            span,
-        )
+        Arc::new(ParsedDecl {
+            name: d.name,
+            ann: d.ann,
+            term: d.term,
+            decl_rel: d.span,
+            name_rel: d.name_span,
+            fv,
+        })
     }
 }
 
+/// What a chunk contributes to an analysis: does it hold
+/// `#use prelude`, and its declaration, if any.
+type ChunkParse = (bool, Option<Arc<ParsedDecl>>);
+
 /// One declaration chunk, cached by the hash of its source slice.
-#[derive(Clone)]
 struct CachedChunk {
     /// The exact slice (collision guard for the 64-bit key).
     slice: String,
-    /// Pragmas in the chunk, with slice-relative spans.
-    pragmas: Vec<(String, String, Span)>,
+    /// Does the chunk hold `#use prelude`?
+    prelude: bool,
     /// The declaration, if the chunk holds one.
     decl: Option<Arc<ParsedDecl>>,
 }
 
-/// Slices a [`Frontend`] caches before the next analysis clears it.
+/// Slices a [`Frontend`] caches before the next analysis that opens it
+/// clears it.
 const FRONTEND_CAP: usize = 8192;
 
 /// A declaration-level parse cache: the expensive parts of analysing a
-/// document — term construction and free-variable collection — are
-/// cached per declaration slice and shared by `Arc`, so an edit
-/// re-parses only the touched declaration(s) and clones no terms for
-/// the rest. This is what keeps a warm edit's fixed costs far below a
-/// cold check's (see `EXPERIMENTS.md` for numbers).
+/// chunk — term construction and free-variable collection — are cached
+/// per declaration slice and shared by `Arc`. A full analysis looks up
+/// every chunk here; an edit patched into an analysis looks up only the
+/// chunks whose bytes changed, so a reverted chunk is a hit.
 #[derive(Default)]
 pub struct Frontend {
     chunks: U64Map<CachedChunk>,
@@ -322,6 +405,37 @@ impl Frontend {
     pub fn parse_misses(&self) -> u64 {
         self.misses
     }
+
+    /// The parse of `slice`, a chunk starting at byte `at` of its text:
+    /// from the cache, else parsed and cached.
+    fn look_up(&mut self, slice: &str, at: usize) -> Result<ChunkParse, ParseError> {
+        let key = hash_str(slice);
+        if let Some(c) = self.chunks.get(&key).filter(|c| c.slice == slice) {
+            self.hits += 1;
+            return Ok((c.prelude, c.decl.clone()));
+        }
+        self.misses += 1;
+        let parsed = freezeml_core::parse_program(slice).map_err(|e| ParseError {
+            msg: e.msg,
+            pos: e.pos + at,
+        })?;
+        debug_assert!(parsed.decls.len() <= 1, "one `;;` per chunk");
+        let chunk = CachedChunk {
+            slice: slice.to_string(),
+            prelude: uses_prelude(&parsed.pragmas),
+            decl: parsed.decls.into_iter().next().map(ParsedDecl::from_decl),
+        };
+        let out = (chunk.prelude, chunk.decl.clone());
+        self.chunks.insert(key, chunk);
+        Ok(out)
+    }
+}
+
+/// Does a pragma list request the Figure 2 prelude?
+fn uses_prelude(pragmas: &[(String, String, Span)]) -> bool {
+    pragmas
+        .iter()
+        .any(|(name, arg, _)| name == "use" && arg == "prelude")
 }
 
 /// Write the checker options into a fingerprint: the value restriction,
@@ -364,55 +478,92 @@ pub fn doc_verify(src: &str) -> u64 {
     h.finish()
 }
 
-/// Split source text into declaration chunks: each chunk ends at a `;;`
-/// (comments are honoured — a `;;` after `--` on a line is text). The
-/// scan is exact for the surface language because `;;` cannot occur
-/// inside a term or type, and a final chunk without `;;` is returned
-/// too (it must be pragmas-only or a parse error, which the per-chunk
-/// parse reports at the right offset).
-fn chunk_spans(src: &str) -> Vec<(usize, usize)> {
-    let bytes = src.as_bytes();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b';' if bytes.get(i + 1) == Some(&b';') => {
-                out.push((start, i + 2));
-                i += 2;
-                start = i;
-            }
-            _ => i += 1,
+/// The lexer's whitespace. Chunks are trimmed of exactly these (so a
+/// reindented but otherwise untouched declaration still hits the
+/// cache): `str::trim_start` would also eat Unicode whitespace (NBSP,
+/// U+2028, …) that the lexer *rejects*, silently accepting programs the
+/// plain front-end errors on.
+const LEXER_WS: [char; 4] = [' ', '\t', '\n', '\r'];
+
+/// `start..end` of `src` with its leading lexer whitespace skipped.
+fn trimmed(src: &str, start: usize, end: usize) -> (usize, usize) {
+    let slice = &src[start..end];
+    (end - slice.trim_start_matches(LEXER_WS).len(), end)
+}
+
+/// The length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    // Whole blocks first: slice equality is a `memcmp`.
+    while i + 64 <= n && a[i..i + 64] == b[i..i + 64] {
+        i += 64;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// The length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[a.len() - n..], &b[b.len() - n..]);
+    let mut i = 0;
+    while i + 64 <= n && a[n - i - 64..n - i] == b[n - i - 64..n - i] {
+        i += 64;
+    }
+    while i < n && a[n - i - 1] == b[n - i - 1] {
+        i += 1;
+    }
+    i
+}
+
+/// The chunks an edit touched: the old chunks `k0..k1` give way to the
+/// new text's `spans` (leading whitespace trimmed).
+struct Window {
+    k0: usize,
+    k1: usize,
+    spans: Vec<(usize, usize)>,
+    /// Does the window run to the text's end, ending in a trailer?
+    trailer: bool,
+}
+
+/// What [`Analysis::patch`] changed: which bindings were re-keyed, and
+/// where every other binding sat before.
+#[derive(Debug)]
+pub(crate) struct Patch {
+    /// `rekeyed[i]`: binding `i` was re-parsed, re-resolved, or sits
+    /// downstream of one, so its Merkle key was recomputed.
+    rekeyed: Vec<bool>,
+    /// Bindings before `at` kept their index; binding `i ≥ at` was
+    /// binding `i - at + old_at`.
+    at: usize,
+    old_at: usize,
+}
+
+impl Patch {
+    /// Was binding `i` re-keyed? The re-keyed set is closed under
+    /// dependents.
+    pub(crate) fn rekeyed(&self, i: usize) -> bool {
+        self.rekeyed[i]
+    }
+
+    /// The index binding `i` had before the patch, unless it was
+    /// re-keyed.
+    pub(crate) fn origin(&self, i: usize) -> Option<usize> {
+        if self.rekeyed[i] {
+            None
+        } else if i < self.at {
+            Some(i)
+        } else {
+            Some(i - self.at + self.old_at)
         }
     }
-    // Trim leading whitespace off every chunk (so a reindented but
-    // otherwise untouched declaration still hits the cache) and keep a
-    // non-empty trailer. Only the lexer's whitespace (space, tab, CR,
-    // LF) is trimmed: `str::trim_start` would also eat Unicode
-    // whitespace (NBSP, U+2028, …) that the lexer *rejects*, silently
-    // accepting programs the plain front-end errors on.
-    const LEXER_WS: [char; 4] = [' ', '\t', '\n', '\r'];
-    let mut trimmed: Vec<(usize, usize)> = Vec::with_capacity(out.len() + 1);
-    let shift = |s: usize, e: usize| -> (usize, usize) {
-        let skipped = src[s..e].len() - src[s..e].trim_start_matches(LEXER_WS).len();
-        (s + skipped, e)
-    };
-    for (s, e) in out {
-        trimmed.push(shift(s, e));
-    }
-    if !src[start..].trim_matches(LEXER_WS).is_empty() {
-        trimmed.push(shift(start, src.len()));
-    }
-    trimmed
 }
 
 /// Like [`analyze`], but with a declaration-level parse cache: only
-/// chunks whose source slice changed since the last call are re-parsed.
+/// chunks whose source slice is not in `fe` are parsed.
 ///
 /// # Errors
 ///
@@ -429,7 +580,7 @@ pub fn analyze_cached(
 /// [`analyze_cached`] with trace context: the chunk-parsing loop and the
 /// dependency-graph construction each get a span (`parse`, `dep-graph`)
 /// on the given tracer, and chunk-cache hits/misses are counted on the
-/// frontend.
+/// frontend. It is `Analysis::patch` from the empty document.
 pub fn analyze_cached_traced(
     fe: &mut Frontend,
     src: &str,
@@ -438,173 +589,449 @@ pub fn analyze_cached_traced(
     tracer: &Tracer,
     ctx: TraceCtx,
 ) -> Result<Analysis, AnalyzeError> {
-    if fe.chunks.len() > FRONTEND_CAP {
-        fe.chunks.clear(); // crude cap; the scheme cache is what matters
-    }
-    let mut pragmas = Vec::new();
-    let mut decls = Vec::new();
-    let mut content = Vec::new();
-    let parse_span = tracer.span("parse", ctx);
-    for (start, end) in chunk_spans(src) {
-        let slice = &src[start..end];
-        let key = hash_str(slice);
-        let hit = matches!(fe.chunks.get(&key), Some(c) if c.slice == slice);
-        if hit {
-            fe.hits += 1;
-        } else {
-            fe.misses += 1;
-            let parsed = freezeml_core::parse_program(slice).map_err(|e| ParseError {
-                msg: e.msg,
-                pos: e.pos + start,
-            })?;
-            debug_assert!(parsed.decls.len() <= 1, "one `;;` per chunk");
-            let chunk = CachedChunk {
-                slice: slice.to_string(),
-                pragmas: parsed.pragmas,
-                decl: parsed
-                    .decls
-                    .into_iter()
-                    .next()
-                    .map(|d| ParsedDecl::from_decl(d).0),
-            };
-            fe.chunks.insert(key, chunk);
-        }
-        // lint: allow(unwrap) — entry inserted two lines above under the same lock
-        let chunk = fe.chunks.get(&key).expect("present or just inserted");
-        for (name, arg, span) in &chunk.pragmas {
-            pragmas.push((
-                name.clone(),
-                arg.clone(),
-                Span {
-                    start: span.start + start,
-                    end: span.end + start,
-                },
-            ));
-        }
-        if let Some(parsed) = &chunk.decl {
-            let (decl_rel, name_rel) = (parsed.decl_rel, parsed.name_rel);
-            let span = Span {
-                start: decl_rel.start + start,
-                end: decl_rel.end + start,
-            };
-            decls.push(DeclInfo {
-                span,
-                name_span: Span {
-                    start: name_rel.start + start,
-                    end: name_rel.end + start,
-                },
-                chunk: Arc::clone(parsed),
-            });
-            // The Merkle content hash covers exactly the declaration
-            // (`let` through `;;`) — NOT the whole chunk, which may carry
-            // leading comments: a comment-only edit re-parses the chunk
-            // but must not invalidate the binding's scheme. This also
-            // keeps [`analyze`] and [`analyze_cached`] key-compatible.
-            content.push(hash_str(src.get(span.start..span.end).unwrap_or_default()));
-        }
-    }
-    drop(parse_span);
-    let _dep_span = tracer.span("dep-graph", ctx);
-    Ok(build_analysis(pragmas, decls, content, opts, engine))
+    let mut a = Analysis::empty(opts, engine);
+    a.patch("", src, || &mut *fe, tracer, ctx)?;
+    Ok(a)
 }
 
 /// Analyse an already-parsed program (spans must index into `src`).
 pub fn analyze_parsed(program: Program, src: &str, opts: &Options, engine: EngineSel) -> Analysis {
-    let pragmas = program.pragmas;
-    let decls: Vec<DeclInfo> = program
+    let mut a = Analysis::empty(opts, engine);
+    a.decls = program
         .decls
         .into_iter()
-        .map(|d| {
-            let name_span = d.name_span;
-            let (chunk, span) = ParsedDecl::from_decl(d);
-            DeclInfo {
-                span,
-                name_span,
-                chunk,
-            }
-        })
+        .map(|d| DeclInfo::new(ParsedDecl::from_decl(d), 0, src))
         .collect();
-    let content = decls
-        .iter()
-        .map(|d| hash_str(src.get(d.span.start..d.span.end).unwrap_or_default()))
-        .collect();
-    build_analysis(pragmas, decls, content, opts, engine)
+    let n = a.decls.len();
+    a.deps = vec![Vec::new(); n];
+    a.keys = vec![0; n];
+    a.wave_of = vec![0; n];
+    a.prelude_chunks = usize::from(uses_prelude(&program.pragmas));
+    a.relink(0, n, &FxHashSet::default(), vec![true; n], true);
+    a
 }
 
-fn build_analysis(
-    pragmas: Vec<(String, String, Span)>,
-    decls: Vec<DeclInfo>,
-    content: Vec<u64>,
-    opts: &Options,
-    engine: EngineSel,
-) -> Analysis {
-    let n = decls.len();
-    let uses_prelude = pragmas
-        .iter()
-        .any(|(name, arg, _)| name == "use" && arg == "prelude");
-
-    // Resolve each free variable to the latest earlier declaration of
-    // that name (ML shadowing), via an incrementally maintained
-    // name → latest-index map — O(total free variables), not O(n²).
-    // Dependencies are earlier bindings, so their waves are already
-    // known and pushing `i` keeps every wave ascending.
-    let mut latest: FxHashMap<Symbol, usize> =
-        FxHashMap::with_capacity_and_hasher(n, Default::default());
-    let mut deps: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut wave_of: Vec<usize> = Vec::with_capacity(n);
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    for (i, d) in decls.iter().enumerate() {
-        let mut ds: Vec<usize> = d
-            .free_vars()
-            .iter()
-            .filter_map(|v| v.symbol().and_then(|name| latest.get(&name).copied()))
-            .collect();
-        ds.sort_unstable();
-        ds.dedup();
-        let w = ds.iter().map(|&j| wave_of[j] + 1).max().unwrap_or(0);
-        if w == waves.len() {
-            waves.push(Vec::new());
-        }
-        waves[w].push(i);
-        wave_of.push(w);
-        deps.push(ds);
-        latest.insert(d.name_sym(), i);
-    }
-
-    // Configuration fingerprint, mixed into every key: the same binding
-    // under a different mode, engine, or prelude is a different cache
-    // entry.
-    let mut cfg = Hasher64::new();
-    write_options(&mut cfg, opts);
-    cfg.write_u64(engine.tag());
-    cfg.write_u64(u64::from(uses_prelude));
-    let cfg = cfg.finish();
-
-    // Keys in declaration order: dependencies point backwards, so each
-    // key only needs earlier keys. The slice content enters through the
-    // already-computed per-chunk content hash (one pass over the text,
-    // not two).
-    let mut keys = vec![0u64; n];
-    for i in 0..n {
-        let mut h = Hasher64::new();
-        h.write_u64(cfg);
-        h.write_u64(content[i]);
-        for &dep in &deps[i] {
-            h.write_u64(keys[dep]);
-        }
-        keys[i] = h.finish();
-    }
-
-    Analysis {
-        uses_prelude,
-        decls,
-        deps,
-        waves,
-        keys,
-    }
-}
+/// The marker a dependency on a replaced declaration carries until it
+/// is re-resolved.
+const GONE: usize = usize::MAX;
 
 impl Analysis {
+    /// The analysis of the empty document under a configuration.
+    fn empty(opts: &Options, engine: EngineSel) -> Analysis {
+        let mut config = Hasher64::new();
+        write_options(&mut config, opts);
+        config.write_u64(engine.tag());
+        Analysis {
+            uses_prelude: false,
+            decls: Vec::new(),
+            deps: Vec::new(),
+            waves: Vec::new(),
+            keys: Vec::new(),
+            wave_of: Vec::new(),
+            config,
+            chunks: Vec::new(),
+            trailer: false,
+            prelude_chunks: 0,
+        }
+    }
+
+    /// Bring this analysis of `old` up to `new`, touching only what the
+    /// edit touched:
+    ///
+    /// 1. a common byte prefix and suffix bound the edit; old chunks
+    ///    wholly in the prefix are kept, and the rest are re-chunked from
+    ///    the start of the first one the edit reaches, until a new chunk
+    ///    ends where an old one does, past the edit;
+    /// 2. when the window holds as many chunks as before, each new chunk
+    ///    byte-identical to the old chunk at its position is kept (moved);
+    ///    every other chunk is looked up in the parse cache, which
+    ///    `frontend` opens, once, only if one is needed;
+    /// 3. chunks past the window keep their declarations, shifted;
+    /// 4. the re-parsed declarations are resolved, the names declared or
+    ///    removed in the window are re-resolved wherever a later
+    ///    declaration uses them, and the keys and waves of what that
+    ///    changed, and of everything downstream, are recomputed.
+    ///
+    /// The result equals a full analysis of `new`. On a parse error the
+    /// analysis is left as it was, and the error is the one a full
+    /// analysis reports: the first failing chunk's, since every chunk
+    /// outside the window parsed before.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] (positions are absolute into `new`).
+    pub(crate) fn patch<G: DerefMut<Target = Frontend>>(
+        &mut self,
+        old: &str,
+        new: &str,
+        frontend: impl FnOnce() -> G,
+        tracer: &Tracer,
+        ctx: TraceCtx,
+    ) -> Result<Patch, ParseError> {
+        let parse_span = tracer.span("parse", ctx);
+        let win = self.window(old, new);
+        // `None` keeps the old chunk at the same window position.
+        let mut parsed: Vec<Option<ChunkParse>> = vec![None; win.spans.len()];
+        let same = win.spans.len() == win.k1 - win.k0;
+        let stale: Vec<usize> = (0..win.spans.len())
+            .filter(|&j| {
+                let (s, e) = win.spans[j];
+                let c = self.chunks.get(win.k0 + j);
+                !(same && c.is_some_and(|c| old.get(c.start..c.end) == new.get(s..e)))
+            })
+            .collect();
+        if !stale.is_empty() {
+            let mut fe = frontend();
+            if fe.chunks.len() > FRONTEND_CAP {
+                fe.chunks.clear(); // crude cap; the scheme cache is what matters
+            }
+            for &j in &stale {
+                let (s, e) = win.spans[j];
+                parsed[j] = Some(fe.look_up(&new[s..e], s)?);
+            }
+        }
+        drop(parse_span);
+        let _dep_span = tracer.span("dep-graph", ctx);
+        Ok(self.splice(win, parsed, new, new.len().wrapping_sub(old.len())))
+    }
+
+    /// Step 1 of [`Analysis::patch`]: the chunks an edit from `old` to
+    /// `new` touched.
+    fn window(&self, old: &str, new: &str) -> Window {
+        let (ob, nb) = (old.as_bytes(), new.as_bytes());
+        let p = common_prefix(ob, nb);
+        let tail = nb.len() - common_suffix(&ob[p..], &nb[p..]);
+        let delta = nb.len().wrapping_sub(ob.len());
+        let last = self.chunks.len();
+        // Chunks ending inside the prefix are unchanged: the scan decides
+        // on a `;;` from its two bytes and the state before them. An
+        // unterminated trailer ends at the text's end, so an append
+        // reaches it.
+        let mut k0 = self.chunks.partition_point(|c| c.end <= p);
+        if self.trailer && k0 == last && last > 0 {
+            k0 -= 1;
+        }
+        // Re-chunk from where chunk k0 begins: just past a `;;`, outside
+        // any comment, in both texts.
+        let mut start = if k0 == 0 { 0 } else { self.chunks[k0 - 1].end };
+        let mut spans = Vec::new();
+        let (mut k, mut k1) = (k0, None);
+        let mut i = start;
+        while i < nb.len() && k1.is_none() {
+            match nb[i] {
+                b'-' if nb.get(i + 1) == Some(&b'-') => {
+                    while i < nb.len() && nb[i] != b'\n' {
+                        i += 1;
+                    }
+                }
+                b';' if nb.get(i + 1) == Some(&b';') => {
+                    i += 2;
+                    spans.push(trimmed(new, start, i));
+                    start = i;
+                    // Resynchronise: past the edit, a chunk that ends
+                    // where an old chunk ends is followed by the same
+                    // text, which therefore chunks as before. A new `--`
+                    // can swallow old `;;`s, so this may be several old
+                    // chunks on.
+                    if i >= tail {
+                        let e = i.wrapping_sub(delta);
+                        while k < last && self.chunks[k].end < e {
+                            k += 1;
+                        }
+                        if k < last && self.chunks[k].end == e {
+                            k1 = Some(k + 1);
+                        }
+                    }
+                }
+                _ => i += 1,
+            }
+        }
+        // A non-blank rest after the last `;;` is a chunk of its own: the
+        // per-chunk parse reports it (pragmas only, or a parse error).
+        let trailer = k1.is_none() && !new[start..].trim_matches(LEXER_WS).is_empty();
+        if trailer {
+            spans.push(trimmed(new, start, nb.len()));
+        }
+        Window {
+            k0,
+            k1: k1.unwrap_or(last),
+            spans,
+            trailer,
+        }
+    }
+
+    /// Steps 3 and 4 of [`Analysis::patch`]: put the window's chunks in
+    /// place, move everything after it by `delta` bytes, and relink.
+    fn splice(
+        &mut self,
+        win: Window,
+        parsed: Vec<Option<ChunkParse>>,
+        new: &str,
+        delta: usize,
+    ) -> Patch {
+        let Window {
+            k0,
+            k1,
+            spans,
+            trailer,
+        } = win;
+        let n_old = self.decls.len();
+        let d0 = self.chunks.get(k0).map_or(n_old, |c| c.first_decl);
+        let d1 = self.chunks.get(k1).map_or(n_old, |c| c.first_decl);
+        if k1 == self.chunks.len() {
+            self.trailer = trailer;
+        }
+        // Names declared or removed in the window: a later declaration
+        // that uses one must be re-resolved (so none are needed when no
+        // declaration follows the window).
+        let mut moved = FxHashSet::default();
+        let in_place = spans.len() == k1 - k0
+            && parsed
+                .iter()
+                .zip(&self.chunks[k0..k1])
+                .all(|(p, c)| p.as_ref().is_none_or(|(_, d)| d.is_some() == c.decl));
+        let (m, k_after, rekeyed) = if in_place {
+            // As many chunks and declarations as before: overwrite.
+            let mut rekeyed = vec![false; n_old];
+            for ((&(s, e), p), c) in spans.iter().zip(parsed).zip(&mut self.chunks[k0..k1]) {
+                match p {
+                    None if c.decl => self.decls[c.first_decl].shift(s.wrapping_sub(c.start)),
+                    None => {}
+                    Some((prelude, decl)) => {
+                        self.prelude_chunks =
+                            self.prelude_chunks + usize::from(prelude) - usize::from(c.prelude);
+                        c.prelude = prelude;
+                        if let Some(decl) = decl {
+                            let i = c.first_decl;
+                            let (was, is) = (self.decls[i].name_sym(), decl.name);
+                            if was != is {
+                                moved.extend([was, is]);
+                            }
+                            self.decls[i] = DeclInfo::new(decl, s, new);
+                            rekeyed[i] = true;
+                        }
+                    }
+                }
+                (c.start, c.end) = (s, e);
+            }
+            (d1 - d0, k1, rekeyed)
+        } else {
+            // Replace the window's chunks and declarations wholesale.
+            let mut chunks = Vec::with_capacity(spans.len());
+            let mut decls = Vec::new();
+            for (j, (&(s, e), p)) in spans.iter().zip(parsed).enumerate() {
+                let (prelude, decl) = match p {
+                    None => {
+                        let c = self.chunks[k0 + j];
+                        let decl = c.decl.then(|| {
+                            let mut d = self.decls[c.first_decl].clone();
+                            d.shift(s.wrapping_sub(c.start));
+                            d
+                        });
+                        (c.prelude, decl)
+                    }
+                    Some((prelude, decl)) => (prelude, decl.map(|d| DeclInfo::new(d, s, new))),
+                };
+                chunks.push(Chunk {
+                    start: s,
+                    end: e,
+                    first_decl: d0 + decls.len(),
+                    decl: decl.is_some(),
+                    prelude,
+                });
+                decls.extend(decl);
+            }
+            let m = decls.len();
+            if d1 < n_old {
+                moved.extend(
+                    self.decls[d0..d1]
+                        .iter()
+                        .chain(&decls)
+                        .map(DeclInfo::name_sym),
+                );
+            }
+            self.prelude_chunks = self.prelude_chunks + chunks.iter().filter(|c| c.prelude).count()
+                - self.chunks[k0..k1].iter().filter(|c| c.prelude).count();
+            let k_after = k0 + chunks.len();
+            if self.chunks.is_empty() {
+                // The empty document (a full analysis): nothing to keep.
+                self.chunks = chunks;
+                self.decls = decls;
+                self.deps = vec![Vec::new(); m];
+                self.keys = vec![0; m];
+                self.wave_of = vec![0; m];
+            } else {
+                self.chunks.splice(k0..k1, chunks);
+                self.decls.splice(d0..d1, decls);
+                self.deps
+                    .splice(d0..d1, std::iter::repeat_with(Vec::new).take(m));
+                self.keys.splice(d0..d1, std::iter::repeat_n(0, m));
+                self.wave_of.splice(d0..d1, std::iter::repeat_n(0, m));
+            }
+            // Later declarations move by `m - (d1 - d0)` places. Their
+            // dependencies on the replaced ones are marked and
+            // re-resolved: those names are all in `moved`.
+            let by = m.wrapping_sub(d1 - d0);
+            for c in &mut self.chunks[k_after..] {
+                c.first_decl = c.first_decl.wrapping_add(by);
+            }
+            for t in self.deps[d0 + m..].iter_mut().flatten() {
+                if *t >= d1 {
+                    *t = t.wrapping_add(by);
+                } else if *t >= d0 {
+                    *t = GONE;
+                }
+            }
+            let mut rekeyed = vec![false; self.decls.len()];
+            rekeyed[d0..d0 + m].fill(true);
+            (m, k_after, rekeyed)
+        };
+        if delta != 0 {
+            for c in &mut self.chunks[k_after..] {
+                c.start = c.start.wrapping_add(delta);
+                c.end = c.end.wrapping_add(delta);
+            }
+            for d in &mut self.decls[d0 + m..] {
+                d.shift(delta);
+            }
+        }
+        Patch {
+            rekeyed: self.relink(d0, m, &moved, rekeyed, !in_place),
+            at: d0 + m,
+            old_at: d1,
+        }
+    }
+
+    /// Resolve the declarations marked in `rekeyed` (all within
+    /// `d0..d0 + m`), re-resolve the names in `moved` wherever a later
+    /// declaration uses them, then recompute the wave and key of every
+    /// declaration whose dependencies changed and of everything
+    /// downstream of one — all of them if `#use prelude` came or went.
+    /// `regroup` rebuilds the waves even if no declaration changed wave
+    /// (declarations moved places). Returns the re-keyed set.
+    fn relink(
+        &mut self,
+        d0: usize,
+        m: usize,
+        moved: &FxHashSet<Symbol>,
+        mut rekeyed: Vec<bool>,
+        mut regroup: bool,
+    ) -> Vec<bool> {
+        let n = self.decls.len();
+        let was_prelude = self.uses_prelude;
+        self.uses_prelude = self.prelude_chunks > 0;
+        let flipped = self.uses_prelude != was_prelude;
+
+        // Name resolution follows ML shadowing: a free variable resolves
+        // to the latest earlier declaration of its name, which `latest`
+        // tracks in one forward pass. A pass from the first declaration (a
+        // full analysis) tracks every name; otherwise only the names to
+        // resolve (the re-parsed declarations' free variables and the
+        // moved names) are tracked, starting from the declarations before
+        // `d0`.
+        let end = if moved.is_empty() { d0 + m } else { n };
+        let every = d0 == 0;
+        let mut latest: FxHashMap<Symbol, usize> = FxHashMap::default();
+        if every {
+            latest.reserve(end);
+        } else {
+            for i in (d0..d0 + m).filter(|&i| rekeyed[i]) {
+                let names = self.decls[i].free_vars().iter().filter_map(Var::symbol);
+                latest.extend(names.map(|x| (x, GONE)));
+            }
+            latest.extend(moved.iter().map(|&x| (x, GONE)));
+            if !latest.is_empty() {
+                for (j, d) in self.decls[..d0].iter().enumerate() {
+                    if let Some(l) = latest.get_mut(&d.name_sym()) {
+                        *l = j;
+                    }
+                }
+            }
+        }
+        let resolve = |latest: &FxHashMap<Symbol, usize>, v: &Var| {
+            v.symbol()
+                .and_then(|x| latest.get(&x).copied())
+                .filter(|&j| j != GONE)
+        };
+        let is_moved = |v: &Var| v.symbol().is_some_and(|x| moved.contains(&x));
+        for (i, rekey) in rekeyed.iter_mut().enumerate().take(end).skip(d0) {
+            // The free variables are read only when needed: they sit
+            // behind the parse cache's `Arc`.
+            let fv = || self.decls[i].free_vars();
+            if *rekey {
+                let mut ds: Vec<usize> = fv().iter().filter_map(|v| resolve(&latest, v)).collect();
+                ds.sort_unstable();
+                ds.dedup();
+                self.deps[i] = ds;
+            } else if !moved.is_empty() && fv().iter().any(is_moved) {
+                let mut ds: Vec<usize> = self.deps[i]
+                    .iter()
+                    .copied()
+                    .filter(|&t| t != GONE && !moved.contains(&self.decls[t].name_sym()))
+                    .chain(
+                        fv().iter()
+                            .filter(|v| is_moved(v))
+                            .filter_map(|v| resolve(&latest, v)),
+                    )
+                    .collect();
+                ds.sort_unstable();
+                ds.dedup();
+                if ds != self.deps[i] {
+                    self.deps[i] = ds;
+                    *rekey = true;
+                }
+            }
+            debug_assert!(!self.deps[i].contains(&GONE), "binding {i} re-resolved");
+            let name = self.decls[i].name_sym();
+            if every {
+                latest.insert(name, i);
+            } else if let Some(l) = latest.get_mut(&name) {
+                *l = i;
+            }
+        }
+
+        // Configuration fingerprint, mixed into every key: the same
+        // binding under a different mode, engine, or prelude is a
+        // different cache entry.
+        let mut cfg = self.config;
+        cfg.write_u64(u64::from(self.uses_prelude));
+        let cfg = cfg.finish();
+        // Dependencies point backwards, so one forward pass sees every
+        // dependency's final wave and key before its dependents.
+        for i in if flipped { 0 } else { d0 }..n {
+            if !(flipped || rekeyed[i] || self.deps[i].iter().any(|&d| rekeyed[d])) {
+                continue;
+            }
+            rekeyed[i] = true;
+            let deps = &self.deps[i];
+            let w = deps.iter().map(|&d| self.wave_of[d] + 1).max().unwrap_or(0);
+            regroup |= w != self.wave_of[i];
+            self.wave_of[i] = w;
+            let mut h = Hasher64::new();
+            h.write_u64(cfg);
+            h.write_u64(self.decls[i].content);
+            for &d in deps {
+                h.write_u64(self.keys[d]);
+            }
+            self.keys[i] = h.finish();
+        }
+        if regroup {
+            // In index order every wave is reached after the one before
+            // it, so pushing keeps each ascending.
+            self.waves.iter_mut().for_each(Vec::clear);
+            for (i, &w) in self.wave_of.iter().enumerate() {
+                if w == self.waves.len() {
+                    self.waves.push(Vec::new());
+                }
+                self.waves[w].push(i);
+            }
+            while self.waves.last().is_some_and(Vec::is_empty) {
+                self.waves.pop();
+            }
+        }
+        rekeyed
+    }
+
     /// The transitive dependents of binding `i` (excluding `i` itself) —
     /// exactly the set an edit to `i` invalidates beyond `i`.
     pub fn dependents(&self, i: usize) -> Vec<usize> {
@@ -952,5 +1379,321 @@ mod tests {
         assert_ne!(a.decls[0].span, a.decls[1].span, "spans are per-chunk");
         assert_eq!(a.deps[2], vec![1], "y resolves to the shadowing x");
         assert_cached_matches_plain(src);
+    }
+
+    // ------------------------------------------------ patch ≡ full analysis
+
+    /// The structure a patched analysis must share with a full one.
+    fn assert_same_analysis(got: &Analysis, want: &Analysis, ctx: &str) {
+        let names = |a: &Analysis| a.decls.iter().map(DeclInfo::name).collect::<Vec<_>>();
+        let spans = |a: &Analysis| {
+            a.decls
+                .iter()
+                .map(|d| (d.span, d.name_span))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(got), names(want), "names: {ctx}");
+        assert_eq!(spans(got), spans(want), "spans: {ctx}");
+        assert_eq!(got.deps, want.deps, "deps: {ctx}");
+        assert_eq!(got.waves, want.waves, "waves: {ctx}");
+        assert_eq!(got.keys, want.keys, "keys: {ctx}");
+        assert_eq!(got.uses_prelude, want.uses_prelude, "#use: {ctx}");
+    }
+
+    /// SplitMix64, for deterministic edit scripts.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
+            xs[self.below(xs.len())]
+        }
+    }
+
+    const NAMES: &[&str] = &["a", "b", "c", "f", "g", "x", "y", "zz"];
+
+    fn body(rng: &mut Rng) -> String {
+        let n = NAMES[rng.below(NAMES.len())];
+        match rng.below(8) {
+            0 => format!("{}", rng.below(1000)),
+            1 => format!("plus {n} {}", rng.below(10)),
+            2 => format!("single {n}"),
+            3 => format!("fun x -> {n} x"),
+            4 => "$(fun x -> x)".to_string(),
+            5 => format!("poly ~{n}"),
+            6 => format!("pair {n} {}", NAMES[rng.below(NAMES.len())]),
+            _ => format!("head (single {n})"),
+        }
+    }
+
+    fn decl(rng: &mut Rng) -> String {
+        format!("let {} = {};;", NAMES[rng.below(NAMES.len())], body(rng))
+    }
+
+    /// One random edit of a document held as lines; returns its kind.
+    fn edit(rng: &mut Rng, lines: &mut Vec<String>, tail_newline: &mut bool) -> &'static str {
+        let n = lines.len();
+        let i = rng.below(n + 1).min(n.saturating_sub(1));
+        match rng.below(16) {
+            // A body edit: the right-hand side after the first ` = `.
+            0..=2 if n > 0 => match lines[i].split_once(" = ") {
+                Some((head, _)) if lines[i].ends_with(";;") => {
+                    lines[i] = format!("{head} = {};;", body(rng));
+                    "body"
+                }
+                _ => "noop",
+            },
+            3 => {
+                lines.insert(rng.below(n + 1), decl(rng));
+                "insert"
+            }
+            4 if n > 0 => {
+                lines.remove(i);
+                "delete"
+            }
+            // Rename a binder: every `let NAME ` on the line.
+            5 if n > 0 => {
+                let to = rng.pick(NAMES);
+                lines[i] = lines[i].replacen(
+                    &format!("let {} ", rng.pick(NAMES)),
+                    &format!("let {to} "),
+                    1,
+                );
+                "rename"
+            }
+            6 if n > 1 => {
+                let j = rng.below(n - 1);
+                lines.swap(j, j + 1);
+                "reorder"
+            }
+            7 => {
+                let note = ["-- note", "-- a ;; in a comment", "-- let q = 1;;", "--"];
+                lines.insert(rng.below(n + 1), rng.pick(&note).to_string());
+                "comment"
+            }
+            8 if n > 0 => {
+                let pad = rng.pick(&["  ", "\t", "\n", " \r\n "]);
+                lines[i] = format!("{pad}{}", lines[i]);
+                "reindent"
+            }
+            // A `--` somewhere in a line, swallowing what follows on it —
+            // `;;` included.
+            9 if n > 0 => {
+                let line = &lines[i];
+                let at = (0..=line.len())
+                    .filter(|&k| line.is_char_boundary(k))
+                    .nth(rng.below(line.len() + 1))
+                    .unwrap_or(line.len());
+                lines[i] = format!("{}-- {}", &line[..at], &line[at..]);
+                "swallow"
+            }
+            // Two declarations on one line.
+            10 if n > 1 => {
+                let next = lines.remove(i + 1 - usize::from(i + 1 == n));
+                let j = i.min(lines.len() - 1);
+                lines[j] = format!("{} {next}", lines[j]);
+                "join"
+            }
+            11 => {
+                match lines.iter().position(|l| l.trim() == "#use prelude") {
+                    Some(j) => {
+                        lines.remove(j);
+                    }
+                    None => lines.insert(rng.below(n + 1), "#use prelude".to_string()),
+                }
+                "prelude"
+            }
+            // The final chunk without `;;`: a trailing comment or pragma,
+            // or a declaration cut short.
+            12 => {
+                match rng.below(3) {
+                    0 => lines.push("-- trailing ;;".to_string()),
+                    1 => lines.push("#use prelude".to_string()),
+                    _ => match lines.last_mut() {
+                        Some(l) if l.ends_with(";;") => l.truncate(l.len() - 2),
+                        _ => lines.push("let cut = 1".to_string()),
+                    },
+                }
+                *tail_newline = rng.below(2) == 0;
+                "trailer"
+            }
+            // Garbage: a parse or lex error somewhere.
+            13 => {
+                let bad = [
+                    "let = 1;;",
+                    "let x = ;;",
+                    ";;",
+                    "let y = 1 let",
+                    "let é = 1;;",
+                    "let x = (1;;",
+                ];
+                lines.insert(rng.below(n + 1), rng.pick(&bad).to_string());
+                "garbage"
+            }
+            // Text appended to the last line: it may extend a trailer.
+            14 if n > 0 => {
+                let more = rng.pick(&[" more", " x", ";;", " -- z ;;", " 1;;", " let q = 2;;"]);
+                lines[n - 1].push_str(more);
+                *tail_newline = rng.below(3) == 0;
+                "append"
+            }
+            _ => {
+                lines.insert(rng.below(n + 1), decl(rng));
+                "insert"
+            }
+        }
+    }
+
+    fn render(lines: &[String], tail_newline: bool) -> String {
+        let mut s = lines.join("\n");
+        if tail_newline {
+            s.push('\n');
+        }
+        s
+    }
+
+    /// Patch from the last good analysis to `new`, as the service does,
+    /// and hold the result to a full analysis of `new`: the same
+    /// structure when it parses, else the same error as the full path
+    /// and the analysis left as it was.
+    fn step(a: &mut Analysis, good: &mut String, fe: &mut Frontend, new: &str, ctx: &str) {
+        let opts = Options::default();
+        let patched = a.patch(good, new, || &mut *fe, &Tracer::off(), TraceCtx::default());
+        match (patched, analyze(new, &opts, EngineSel::Uf)) {
+            (Ok(_), Ok(want)) => {
+                assert_same_analysis(a, &want, ctx);
+                *good = new.to_string();
+            }
+            (Err(got), Err(_)) => {
+                let want = analyze_cached(&mut Frontend::default(), new, &opts, EngineSel::Uf)
+                    .expect_err("the chunked front-end rejects it too");
+                assert_eq!(got, want, "error: {ctx}");
+                let kept = analyze(good, &opts, EngineSel::Uf).expect("the last good text");
+                assert_same_analysis(a, &kept, &format!("{ctx} (after the error)"));
+            }
+            (got, want) => panic!(
+                "{ctx}: patched {:?}, full {:?}",
+                got.map(|_| "ok").map_err(|e| e.to_string()),
+                want.map(|_| "ok").map_err(|e| e.to_string())
+            ),
+        }
+    }
+
+    #[test]
+    fn a_patched_analysis_equals_a_full_one_across_edit_scripts() {
+        let scripts: usize = std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(160);
+        let mut kinds = std::collections::BTreeMap::new();
+        for script in 0..scripts as u64 {
+            let mut rng = Rng(0xED17_5C21_0000 + script);
+            // Half the scripts start from a generated program, half from
+            // a handful of random declarations.
+            let mut lines: Vec<String> = if script % 2 == 0 {
+                GenProgram::generate(12 + rng.below(40), script)
+                    .text()
+                    .lines()
+                    .map(str::to_string)
+                    .collect()
+            } else {
+                let mut l = vec!["#use prelude".to_string()];
+                l.extend((0..rng.below(12)).map(|_| decl(&mut rng)));
+                l
+            };
+            let mut tail_newline = true;
+            let mut fe = Frontend::default();
+            let mut good = render(&lines, tail_newline);
+            let mut a = analyze_cached(&mut fe, &good, &Options::default(), EngineSel::Uf)
+                .expect("scripts start from a program");
+            for n in 0..30 {
+                let before = lines.clone();
+                let kind = edit(&mut rng, &mut lines, &mut tail_newline);
+                *kinds.entry(kind).or_insert(0) += 1;
+                let new = render(&lines, tail_newline);
+                step(
+                    &mut a,
+                    &mut good,
+                    &mut fe,
+                    &new,
+                    &format!("script {script} step {n} ({kind}): {new:?}"),
+                );
+                // Undo a change that broke the text half the time, so a
+                // parse error is followed by its fix.
+                if new != good && rng.below(2) == 0 {
+                    lines = before;
+                    let fixed = render(&lines, tail_newline);
+                    step(
+                        &mut a,
+                        &mut good,
+                        &mut fe,
+                        &fixed,
+                        &format!("script {script} step {n} (fix): {fixed:?}"),
+                    );
+                }
+            }
+        }
+        for kind in [
+            "body", "insert", "delete", "rename", "reorder", "comment", "reindent", "swallow",
+            "join", "prelude", "trailer", "garbage", "append",
+        ] {
+            assert!(
+                kinds.get(kind).copied().unwrap_or(0) > 0,
+                "no `{kind}` edit ran"
+            );
+        }
+    }
+
+    #[test]
+    fn patches_resynchronise_after_a_comment_swallows_semis() {
+        let opts = Options::default();
+        let old = "#use prelude\nlet a = 1;; let y = a;;\nlet b = plus a 2;;\nlet c = b;;\n";
+        for new in [
+            // The second declaration on the line is commented out, its
+            // `;;` with it: the next chunk absorbs the comment.
+            "#use prelude\nlet a = 1;; -- let y = a;;\nlet b = plus a 2;;\nlet c = b;;\n",
+            // A comment swallows a `;;`, and a later `;;` ends the
+            // declaration instead.
+            "#use prelude\nlet a = 1;; let y = a -- ;;\n;;\nlet b = plus a 2;;\nlet c = b;;\n",
+            // …or never does: a parse error.
+            "#use prelude\nlet a = 1 -- ;; let y = a;;\nlet b = plus a 2;;\nlet c = b;;\n",
+        ] {
+            let mut fe = Frontend::default();
+            let mut a = analyze_cached(&mut fe, old, &opts, EngineSel::Uf).unwrap();
+            let mut good = old.to_string();
+            step(&mut a, &mut good, &mut fe, new, new);
+        }
+    }
+
+    #[test]
+    fn a_body_edit_looks_up_only_its_chunk() {
+        let opts = Options::default();
+        let g = GenProgram::generate(200, 0);
+        let mut fe = Frontend::default();
+        let old = g.text();
+        let mut a = analyze_cached(&mut fe, &old, &opts, EngineSel::Uf).unwrap();
+        let lookups = |fe: &Frontend| fe.parse_hits() + fe.parse_misses();
+        let before = lookups(&fe);
+        let new = g.edited_text(150, 7);
+        let patch = a
+            .patch(&old, &new, || &mut fe, &Tracer::off(), TraceCtx::default())
+            .unwrap();
+        assert_eq!(lookups(&fe) - before, 1, "one changed chunk, one lookup");
+        assert_same_analysis(&a, &analyze(&new, &opts, EngineSel::Uf).unwrap(), "b150");
+        // The edited binding and its dependents are re-keyed; everything
+        // else keeps its place.
+        let mut cone = a.dependents(150);
+        cone.push(150);
+        for i in 0..a.decls.len() {
+            assert_eq!(patch.rekeyed(i), cone.contains(&i), "binding {i}");
+            assert_eq!(patch.origin(i), (!cone.contains(&i)).then_some(i));
+        }
     }
 }

@@ -15,13 +15,21 @@
 //! * everything else is **rechecked** — under `ENGINE=core`, `uf`, or
 //!   `both` (per-binding differential agreement).
 //!
+//! A pass after an edit (`Executor::run_reusing`) classifies only the
+//! **dirty** bindings: those the edit's patch of the analysis re-keyed,
+//! those whose previous verdict may not be served warm, and everything
+//! downstream of one. Every other binding keeps its previous verdict
+//! without a cache probe, and counts as it would in a full pass over the
+//! same hub: reused when typed or an error, blocked when blocked. A full
+//! pass is the case where every binding is dirty.
+//!
 //! Checking a binding `let x (: A)? = M;;` infers the probe term
 //! `let x (: A)? = M in ⌈x⌉`, so the scheme is produced by the paper's
 //! `let` rule itself. Residual monomorphic variables (value restriction)
 //! are grounded to `Int` — the same defaulting the REPL performs — so
 //! the scheme stored in the environment stays closed.
 
-use crate::db::{Analysis, DeclInfo, EngineSel, Outcome};
+use crate::db::{Analysis, DeclInfo, EngineSel, Outcome, Patch};
 use crate::fault::{self, Fault};
 use crate::shared::Shared;
 use crate::sync::Arc;
@@ -283,8 +291,8 @@ fn outcome_of(bank: &SchemeBank, r: Result<Type, freezeml_core::TypeError>) -> O
 /// The verdict on one binding, located in its document.
 #[derive(Clone, Debug)]
 pub struct BindingReport {
-    /// The bound name.
-    pub name: String,
+    /// The bound name, interned ([`freezeml_core::Symbol::as_str`]).
+    pub name: &'static str,
     /// The declaration's source span.
     pub span: Span,
     /// The verdict.
@@ -346,6 +354,57 @@ impl CheckReport {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeadlineExceeded;
 
+/// What a pass after an edit may reuse: the previous report's verdicts,
+/// indexed as before the patch that brought the analysis to its text.
+#[derive(Clone, Copy)]
+pub(crate) struct Reuse<'a> {
+    pub(crate) bindings: &'a [BindingReport],
+    pub(crate) patch: &'a Patch,
+}
+
+impl<'a> Reuse<'a> {
+    /// The dirty bindings' places among the pass's own verdicts, in
+    /// index order, and [`CLEAN`] for every other binding. Dirty are the
+    /// bindings the patch re-keyed, the ones whose previous verdict may
+    /// not be served warm ([`Outcome::cacheable`]: a disagreement or an
+    /// internal error is recomputed every pass), and everything
+    /// downstream of one. Also returns how many are dirty.
+    fn slots(self, a: &Analysis) -> (Vec<u32>, usize) {
+        let n = a.decls.len();
+        // First mark the dirty bindings (any value but `CLEAN`)…
+        let mut slots: Vec<u32> = (0..n)
+            .map(|i| match self.patch.origin(i) {
+                Some(o) if self.bindings[o].outcome.cacheable() => CLEAN,
+                _ => 0,
+            })
+            .collect();
+        // (the re-keyed set is closed under dependents already; only a
+        // verdict that must be recomputed adds a cone of its own)…
+        if let Some(first) = (0..n).find(|&i| slots[i] != CLEAN && !self.patch.rekeyed(i)) {
+            for i in first + 1..n {
+                if slots[i] == CLEAN && a.deps[i].iter().any(|&d| slots[d] != CLEAN) {
+                    slots[i] = 0;
+                }
+            }
+        }
+        // …then number them.
+        let mut dirty = 0;
+        for s in slots.iter_mut().filter(|s| **s != CLEAN) {
+            *s = dirty;
+            dirty += 1;
+        }
+        (slots, dirty as usize)
+    }
+
+    /// The previous binding clean binding `i` keeps the verdict of.
+    fn kept(self, i: usize) -> Option<&'a BindingReport> {
+        self.patch.origin(i).map(|o| &self.bindings[o])
+    }
+}
+
+/// The slot of a binding that keeps its previous verdict.
+const CLEAN: u32 = u32::MAX;
+
 impl Executor {
     /// One check pass: walk the waves, reuse cache hits, block on failed
     /// dependencies, and check the remaining jobs. Per-wave and
@@ -365,9 +424,8 @@ impl Executor {
     /// preemptible, so a wave once started runs to completion), and an
     /// exhausted budget abandons the pass before the next wave starts.
     /// Completed verdicts stay cached; the hub's `deadline_exceeded`
-    /// counter records the abandonment. The body is monomorphised over
-    /// the sink ([`freezeml_obs::TraceSink`]'s `ENABLED` const), so with
-    /// tracing off it makes no clock reads and builds no records.
+    /// counter records the abandonment. It is `Executor::run_reusing`
+    /// with nothing to reuse.
     pub fn run_budgeted(
         &mut self,
         a: &Analysis,
@@ -375,15 +433,32 @@ impl Executor {
         ctx: TraceCtx,
         deadline: Option<Instant>,
     ) -> Result<CheckReport, DeadlineExceeded> {
+        self.run_reusing(a, None, shared, ctx, deadline)
+    }
+
+    /// A check pass over the dirty bindings of `a` (all of them without
+    /// `reuse`); the clean ones keep their previous verdicts. The body is
+    /// monomorphised over the sink ([`freezeml_obs::TraceSink`]'s
+    /// `ENABLED` const), so with tracing off it makes no clock reads and
+    /// builds no records.
+    pub(crate) fn run_reusing(
+        &mut self,
+        a: &Analysis,
+        reuse: Option<Reuse<'_>>,
+        shared: &Shared,
+        ctx: TraceCtx,
+        deadline: Option<Instant>,
+    ) -> Result<CheckReport, DeadlineExceeded> {
         match shared.tracer().sink() {
-            Some(sink) => self.run_sink(a, shared, ctx, &**sink, deadline),
-            None => self.run_sink(a, shared, ctx, &NoTrace, deadline),
+            Some(sink) => self.run_sink(a, reuse, shared, ctx, &**sink, deadline),
+            None => self.run_sink(a, reuse, shared, ctx, &NoTrace, deadline),
         }
     }
 
     fn run_sink<S: TraceSink>(
         &mut self,
         a: &Analysis,
+        reuse: Option<Reuse<'_>>,
         shared: &Shared,
         ctx: TraceCtx,
         sink: &S,
@@ -397,15 +472,26 @@ impl Executor {
         // when no spec is installed this is a single relaxed load and
         // every per-binding site check below is skipped entirely.
         let faults_on = fault::active();
-        let mut outcomes: Vec<Option<Outcome>> = vec![None; n];
+        // The verdicts this pass computes, one slot per dirty binding (all
+        // of them in a full pass); a clean binding's is `reuse`'s.
+        let (slots, dirty) = match reuse {
+            Some(r) => r.slots(a),
+            None => (Vec::new(), n),
+        };
+        let slot = |i: usize| slots.get(i).map_or(i, |&s| s as usize);
+        let is_dirty = |i: usize| slots.get(i).is_none_or(|&s| s != CLEAN);
+        let mut outcomes: Vec<Option<Outcome>> = vec![None; dirty];
         let (mut rechecked, mut reused, mut blocked) = (0usize, 0usize, 0usize);
-        let mut waves = 0usize;
+        let (mut waves, mut probe_hits) = (0usize, 0usize);
         // A wave's cache misses, all queued before the first one runs:
         // two identical bindings in one wave are therefore both
         // rechecked, never the second served from the first's verdict.
         let mut jobs: Vec<Job> = Vec::new();
 
         for (wave_no, wave) in a.waves.iter().enumerate() {
+            if !wave.iter().any(|&i| is_dirty(i)) {
+                continue;
+            }
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     metrics.deadline_exceeded.inc();
@@ -432,26 +518,31 @@ impl Executor {
             } else {
                 None
             };
-            for &i in wave {
-                if let Some(bad) = a.deps[i]
+            for &i in wave.iter().filter(|&&i| is_dirty(i)) {
+                let settled = |d: usize| match outcomes.get(slot(d)) {
+                    Some(o) => o.as_ref(),
+                    None => reuse.and_then(|r| r.kept(d)).map(|b| &b.outcome),
+                };
+                if let Some(&bad) = a.deps[i]
                     .iter()
-                    .find(|&&d| !outcomes[d].as_ref().is_some_and(Outcome::is_typed))
+                    .find(|&&d| !settled(d).is_some_and(Outcome::is_typed))
                 {
-                    outcomes[i] = Some(Outcome::Blocked {
-                        on: a.decls[*bad].name().to_string(),
+                    outcomes[slot(i)] = Some(Outcome::Blocked {
+                        on: a.decls[bad].name().to_string(),
                     });
                     blocked += 1;
                     continue;
                 }
                 if let Some(hit) = cache.get(a.keys[i]) {
-                    outcomes[i] = Some(hit);
+                    outcomes[slot(i)] = Some(hit);
                     reused += 1;
+                    probe_hits += 1;
                     continue;
                 }
                 let dep_env: Vec<(Var, SchemeId)> = a.deps[i]
                     .iter()
                     .map(|&d| {
-                        let Some(Outcome::Typed { id, .. }) = outcomes[d].as_ref() else {
+                        let Some(Outcome::Typed { id, .. }) = settled(d) else {
                             unreachable!("checked typed above")
                         };
                         (Var::from_symbol(a.decls[d].name_sym()), *id)
@@ -486,7 +577,7 @@ impl Executor {
                 if o.cacheable() {
                     cache.insert(a.keys[i], o.clone());
                 }
-                outcomes[i] = Some(o);
+                outcomes[slot(i)] = Some(o);
             }
             if let Some(t0) = wave_t0 {
                 let extras = [("jobs", Val::U(job_count as u64))];
@@ -500,22 +591,37 @@ impl Executor {
             }
         }
 
-        // Every cache probe either served a reuse or became a job, so
-        // the pass totals are the verdict-cache hit/miss counts.
-        metrics.verdict_hits.add(reused as u64);
+        // The verdict counters count real probes only: each served a
+        // reuse or became a job. Clean bindings were not probed, so their
+        // verdicts are not re-stamped with the hub generation either.
+        metrics.verdict_hits.add(probe_hits as u64);
         metrics.verdict_misses.add(rechecked as u64);
 
+        let bindings = (0..n)
+            .map(|i| {
+                let span = a.decls[i].span;
+                if let Some(o) = outcomes.get_mut(slot(i)).and_then(Option::take) {
+                    return BindingReport {
+                        name: a.decls[i].name(),
+                        span,
+                        outcome: o,
+                    };
+                }
+                let old = reuse
+                    .and_then(|r| r.kept(i))
+                    .unwrap_or_else(|| unreachable!("a binding is dirty or keeps its verdict"));
+                match old.outcome {
+                    Outcome::Blocked { .. } => blocked += 1,
+                    _ => reused += 1,
+                }
+                BindingReport {
+                    span,
+                    ..old.clone()
+                }
+            })
+            .collect();
         Ok(CheckReport {
-            bindings: outcomes
-                .into_iter()
-                .enumerate()
-                .map(|(i, o)| BindingReport {
-                    name: a.decls[i].name().to_string(),
-                    span: a.decls[i].span,
-                    // lint: allow(unwrap) — the wave loop resolves every member before this point
-                    outcome: o.expect("every wave member resolved"),
-                })
-                .collect(),
+            bindings,
             rechecked,
             reused,
             blocked,
@@ -635,7 +741,7 @@ mod tests {
         let shown = |r: &CheckReport| -> Vec<(String, String)> {
             r.bindings
                 .iter()
-                .map(|b| (b.name.clone(), b.outcome.display()))
+                .map(|b| (b.name.to_string(), b.outcome.display()))
                 .collect()
         };
         assert_eq!(shown(&warm), shown(&pass));

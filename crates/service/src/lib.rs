@@ -13,7 +13,9 @@
 //! * [`db`] — the program database: bindings keyed by content hash, a
 //!   free-variable dependency graph levelled into topological waves,
 //!   and Merkle-style cache keys so an edit invalidates *exactly* the
-//!   dirty binding and its transitive dependents. FreezeML's principal
+//!   dirty binding and its transitive dependents. An open document's
+//!   analysis is patched to each edit, so only the changed chunks are
+//!   re-parsed and only their cone is re-keyed. FreezeML's principal
 //!   types (paper Theorem 7) are what make per-binding scheme caching
 //!   sound: a binding's scheme is a function of its text and its
 //!   dependencies' schemes, nothing else;

@@ -63,7 +63,7 @@ use crate::fault;
 use crate::hash::Hasher64;
 use crate::shared::Shared;
 use crate::sync::{Arc, PoisonError};
-use freezeml_core::{Options, Span};
+use freezeml_core::{Options, Span, Symbol};
 use freezeml_engine::{PortableCon, PortableNode, SchemeId};
 use freezeml_obs::lockrank;
 use freezeml_obs::{Record, TraceCtx, Val};
@@ -711,7 +711,7 @@ fn build_snapshot(shared: &Shared, kept: &[Item]) -> (DecodedSnapshot, usize) {
                     .iter()
                     .map(|b| {
                         portable_outcome(&b.outcome, &idx_of).map(|po| PBinding {
-                            name: b.name.clone(),
+                            name: b.name.to_string(),
                             span: (b.span.start as u64, b.span.end as u64),
                             outcome: po,
                         })
@@ -896,7 +896,7 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
             .iter()
             .map(|b| {
                 restore(&b.outcome).map(|o| BindingReport {
-                    name: b.name.clone(),
+                    name: Symbol::intern(&b.name).as_str(),
                     span: Span {
                         start: b.span.0 as usize,
                         end: b.span.1 as usize,

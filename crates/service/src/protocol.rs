@@ -634,7 +634,7 @@ pub fn report_json(doc: &str, report: &CheckReport, src: &str) -> Json {
             // Every status adds at most three fields to these three.
             let mut fields = Vec::with_capacity(6);
             fields.extend([
-                ("name".to_string(), Json::Str(b.name.clone())),
+                ("name".to_string(), Json::Str(b.name.to_string())),
                 ("line".to_string(), Json::Num(line as f64)),
                 ("col".to_string(), Json::Num(col as f64)),
             ]);
@@ -702,7 +702,7 @@ pub fn write_report(out: &mut String, doc: &str, report: &CheckReport, src: &str
         }
         let (line, col) = lines.line_col(b.span.start);
         out.push_str("{\"name\":");
-        write_escaped(out, &b.name);
+        write_escaped(out, b.name);
         out.push_str(",\"line\":");
         write_count(out, line);
         out.push_str(",\"col\":");

@@ -24,7 +24,7 @@
 //! ```
 
 use crate::db::{analyze_cached_traced, doc_key, doc_verify, Analysis, EngineSel, Outcome};
-use crate::exec::{BindingReport, CheckReport, Executor};
+use crate::exec::{BindingReport, CheckReport, DeadlineExceeded, Executor, Reuse};
 use crate::persist::{self, LoadOutcome, PersistConfig, SaveOutcome};
 use crate::shared::Shared;
 use crate::sync::Arc;
@@ -88,6 +88,9 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// An open document. When both its analysis and its report are there,
+/// they are of `text`, and they are the base the next edit patches
+/// ([`Service::edit`]).
 struct Document {
     text: String,
     /// `text`'s document-report cache key and verification digest
@@ -95,7 +98,7 @@ struct Document {
     id: (u64, u64),
     /// The analysis, computed lazily: a document served wholesale from
     /// the document-report cache never parses at all — the analysis is
-    /// built on first demand (an edit, `elaborate`, a doc-cache miss).
+    /// built on first demand (`elaborate`, a doc-cache miss).
     analysis: OnceCell<Result<Analysis, ParseError>>,
     report: Option<Arc<CheckReport>>,
 }
@@ -116,15 +119,34 @@ impl Document {
     }
 }
 
-/// Fold a produced or served report into the hub's metrics registry —
-/// every report a client sees is counted exactly once, whether it came
-/// off the executor, the document-report cache, or a persisted snapshot.
-fn note_report(m: &Registry, report: &CheckReport) {
+/// Make `report` the document's, folding it into the hub's metrics
+/// registry: every report a client sees is counted exactly once, whether
+/// it came off the executor, the document-report cache, or a persisted
+/// snapshot.
+fn keep<'d>(m: &Registry, entry: &'d mut Document, report: Arc<CheckReport>) -> &'d CheckReport {
     m.bindings.add(report.bindings.len() as u64);
     m.rechecked.add(report.rechecked as u64);
     m.reused.add(report.reused as u64);
     m.blocked.add(report.blocked as u64);
     m.waves.add(report.waves as u64);
+    entry.report.insert(report)
+}
+
+/// Keep a check pass's report as the document's, and record it in the
+/// document-report cache under `id` when every verdict in it may be
+/// served warm.
+fn settle<'d>(
+    shared: &Shared,
+    entry: &'d mut Document,
+    (dkey, dverify): (u64, u64),
+    pass: Result<CheckReport, DeadlineExceeded>,
+) -> Result<&'d CheckReport, ServiceError> {
+    let report = pass.map_err(|_| ServiceError::Deadline)?;
+    if report.bindings.iter().all(|b| b.outcome.cacheable()) {
+        let warm = CheckReport::warm(Arc::clone(&report.bindings));
+        shared.record_doc_report(dkey, dverify, Arc::new(warm));
+    }
+    Ok(keep(shared.metrics(), entry, Arc::new(report)))
 }
 
 /// The program-checking service. See the module docs.
@@ -278,6 +300,17 @@ impl Service {
             }
             return self.serve(doc, id, hit);
         }
+        if let Some(patched) = self.edit_in_place(doc, text, id) {
+            patched?;
+            // The pass stored its report.
+            return self
+                .report(doc)
+                .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()));
+        }
+        // No base (a fresh document, one last served from the
+        // document-report cache, one whose last check ran out of time,
+        // or one whose text never parsed): patch the empty document, and
+        // check every binding.
         let analyzed = {
             let tracer = self.shared.tracer().clone();
             let mut frontend = self.shared.frontend();
@@ -324,42 +357,74 @@ impl Service {
         }
     }
 
+    /// Edit in place: with a base — the analysis and report of the
+    /// document's text — patch the analysis to `text` and check only the
+    /// dirty bindings; the others keep their verdicts. `None` when the
+    /// document has no base.
+    fn edit_in_place(
+        &mut self,
+        doc: &str,
+        text: &str,
+        id: (u64, u64),
+    ) -> Option<Result<(), ServiceError>> {
+        let entry = self.docs.get_mut(doc)?;
+        let (Some(Ok(a)), Some(base)) = (entry.analysis.get_mut(), entry.report.clone()) else {
+            return None;
+        };
+        let patched = a.patch(
+            &entry.text,
+            text,
+            || self.shared.frontend(),
+            self.shared.tracer(),
+            self.ctx,
+        );
+        // A text that does not parse leaves the document as it was
+        // (last-good-state serving, as in `set_text`).
+        let patch = match patched {
+            Ok(patch) => patch,
+            Err(e) => return Some(Err(ServiceError::Parse(e))),
+        };
+        entry.text.clear();
+        entry.text.push_str(text);
+        entry.id = id;
+        // The base is spent: after a deadline the document has an
+        // analysis but no report, and the next edit starts over.
+        entry.report = None;
+        let reuse = Reuse {
+            bindings: &base.bindings,
+            patch: &patch,
+        };
+        let pass = self
+            .exec
+            .run_reusing(a, Some(reuse), &self.shared, self.ctx, self.deadline);
+        Some(settle(&self.shared, entry, id, pass).map(|_| ()))
+    }
+
     /// Give `doc` its report: `hit` when the document-report cache
-    /// served one, else a check pass over the document's analysis,
+    /// served one, else a full check pass over the document's analysis,
     /// recorded in that cache under `id` when every verdict in it may
     /// be served warm.
     fn serve(
         &mut self,
         doc: &str,
-        (dkey, dverify): (u64, u64),
+        id: (u64, u64),
         hit: Option<Arc<CheckReport>>,
     ) -> Result<&CheckReport, ServiceError> {
         let entry = self
             .docs
             .get_mut(doc)
             .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
-        let report = match hit {
-            Some(report) => report,
-            None => {
-                let a = entry
-                    .analyzed(&self.shared, &self.cfg.opts, self.cfg.engine, self.ctx)
-                    .as_ref()
-                    .map_err(|e| ServiceError::Parse(e.clone()))?;
-                let report = self
-                    .exec
-                    .run_budgeted(a, &self.shared, self.ctx, self.deadline)
-                    .map_err(|_| ServiceError::Deadline)?;
-                if report.bindings.iter().all(|b| b.outcome.cacheable()) {
-                    let warm = CheckReport::warm(Arc::clone(&report.bindings));
-                    self.shared.record_doc_report(dkey, dverify, Arc::new(warm));
-                }
-                Arc::new(report)
-            }
-        };
-        note_report(self.shared.metrics(), &report);
-        entry.report = Some(report);
-        // lint: allow(unwrap) — stored on the line above
-        Ok(entry.report.as_deref().expect("just stored"))
+        if let Some(report) = hit {
+            return Ok(keep(self.shared.metrics(), entry, report));
+        }
+        let a = entry
+            .analyzed(&self.shared, &self.cfg.opts, self.cfg.engine, self.ctx)
+            .as_ref()
+            .map_err(|e| ServiceError::Parse(e.clone()))?;
+        let pass = self
+            .exec
+            .run_budgeted(a, &self.shared, self.ctx, self.deadline);
+        settle(&self.shared, entry, id, pass)
     }
 
     /// Open (or replace) a document and check it.
@@ -371,9 +436,13 @@ impl Service {
         self.set_text(doc, text)
     }
 
-    /// Replace an open document's text and recheck it incrementally —
-    /// bindings whose cache keys are unchanged are served from the
-    /// scheme cache.
+    /// Replace an open document's text and recheck it incrementally.
+    /// The document's analysis is patched to the new text, so only the
+    /// chunks whose bytes changed are looked up in the parse cache, and
+    /// only the dirty bindings — re-keyed, not servable warm, or
+    /// downstream of one — are checked; every other binding keeps its
+    /// verdict from the previous report. The answer is the one a fresh
+    /// `open` of the text gives on the same hub.
     ///
     /// # Errors
     ///

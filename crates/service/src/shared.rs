@@ -20,8 +20,10 @@
 //! snapshot. A lookup or insert re-stamps the entry with the current
 //! generation, so "entries untouched since generation g" is exactly the
 //! eviction candidate set when a snapshot must fit `--max-cache-bytes`.
-//! With persistence off, the generation sits at zero and the stamps are
-//! inert.
+//! A check pass after an edit looks up only its dirty bindings, so the
+//! verdicts an open document keeps from its previous report are not
+//! re-stamped. With persistence off, the generation sits at zero and the
+//! stamps are inert.
 //!
 //! All locks here recover from poisoning (`PoisonError::into_inner`):
 //! the executor contains panics at the binding boundary

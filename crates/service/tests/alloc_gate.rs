@@ -1,8 +1,14 @@
-//! Allocation gate for the served report path: answering `check` on an
-//! unchanged 2000-binding document, into a session buffer already grown
-//! by an earlier answer, allocates a small constant number of times —
-//! not per binding. The count is deterministic, so unlike a timer it
-//! holds on any host.
+//! Cost gates for the served paths on a 2000-binding document, answered
+//! into a session buffer already grown by an earlier answer:
+//!
+//! * answering `check` on the unchanged document allocates a small
+//!   constant number of times — not per binding;
+//! * a warm `edit` of one leaf literal binding allocates, looks up parse
+//!   chunks and probes verdicts in proportion to the edit, not to the
+//!   document.
+//!
+//! The counts are deterministic, so unlike a timer they hold on any
+//! host.
 //!
 //! This binary installs a counting global allocator. Counts are kept per
 //! thread, so tests running side by side do not see each other's
@@ -94,5 +100,82 @@ fn a_warm_check_answer_allocates_a_constant_number_of_times() {
     assert!(
         n < MAX_ALLOCS,
         "answering `check` on {N} bindings made {n} allocations (gate: < {MAX_ALLOCS})"
+    );
+}
+
+/// The `edit` gates. Before the document's analysis was patched in place
+/// (when every edit re-chunked, re-hashed and re-resolved the whole
+/// document, then probed the verdict cache for every binding), this edit
+/// made 11 616 allocations, 2 000 parse-chunk lookups and 2 000 verdict
+/// probes; patched, it makes 82, 1 and 1.
+const MAX_EDIT_ALLOCS: u64 = 256;
+const MAX_EDIT_LOOKUPS: u64 = 2;
+const MAX_EDIT_PROBES: u64 = 2;
+
+#[test]
+fn a_warm_leaf_edit_costs_what_the_edit_touches() {
+    const N: usize = 2000;
+    let mut svc = Service::new(ServiceConfig {
+        opts: Options::default(),
+        engine: EngineSel::Uf,
+        workers: 1,
+    });
+    let text = GenProgram::generate(N, 0).text();
+    svc.open("m", &text).expect("generated program parses");
+    // A literal binding nothing depends on: the edit's cone is itself.
+    let a = freezeml_service::analyze(&text, &Options::default(), EngineSel::Uf)
+        .expect("generated program parses");
+    let lines: Vec<&str> = text.lines().collect();
+    let leaf = (0..N)
+        .rev()
+        .find(|&i| {
+            let rhs = lines[i + 1].trim_end_matches(";;").split(" = ").nth(1);
+            rhs.is_some_and(|r| r.bytes().all(|b| b.is_ascii_digit())) && a.dependents(i).is_empty()
+        })
+        .expect("a leaf literal binding");
+    let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+    edited[leaf + 1] = format!("let b{leaf} = 424242;;");
+    let edit = freezeml_service::Request::Edit {
+        doc: "m".into(),
+        text: edited.join("\n") + "\n",
+    }
+    .to_json()
+    .to_string();
+    let mut out = String::new();
+    // The first answer grows the buffer, as a session's first report does.
+    handle_line(&mut svc, r#"{"cmd":"check","doc":"m"}"#, &mut out);
+    out.clear();
+    let lookups = |svc: &Service| {
+        let fe = svc.shared().frontend();
+        fe.parse_hits() + fe.parse_misses()
+    };
+    let probes = |svc: &Service| {
+        let m = svc.shared().metrics();
+        m.verdict_hits.get() + m.verdict_misses.get()
+    };
+    let (l0, p0) = (lookups(&svc), probes(&svc));
+    let n = allocations(|| handle_line(&mut svc, &edit, &mut out));
+    let (l, p) = (lookups(&svc) - l0, probes(&svc) - p0);
+    assert!(
+        out.contains("\"rechecked\":1,"),
+        "one binding rechecked: {}",
+        &out[out.len() - 80..]
+    );
+    assert_eq!(
+        out.matches("\"status\":\"ok\"").count(),
+        N,
+        "every binding answered"
+    );
+    assert!(
+        n < MAX_EDIT_ALLOCS,
+        "a leaf edit of {N} bindings made {n} allocations (gate: < {MAX_EDIT_ALLOCS})"
+    );
+    assert!(
+        l <= MAX_EDIT_LOOKUPS,
+        "a leaf edit looked up {l} parse chunks (gate: ≤ {MAX_EDIT_LOOKUPS})"
+    );
+    assert!(
+        p <= MAX_EDIT_PROBES,
+        "a leaf edit probed {p} verdicts (gate: ≤ {MAX_EDIT_PROBES})"
     );
 }

@@ -67,7 +67,7 @@ fn essence(r: &CheckReport) -> Vec<(String, String)> {
                     panic!("engine disagreement on `{}`: {core} / {uf}", b.name)
                 }
             };
-            (b.name.clone(), v)
+            (b.name.to_string(), v)
         })
         .collect()
 }

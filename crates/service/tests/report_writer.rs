@@ -5,7 +5,7 @@
 //! variant — `Disagreement` included, which no real run produces — and
 //! strings from every escape class.
 
-use freezeml_core::{Options, Span};
+use freezeml_core::{Options, Span, Symbol};
 use freezeml_service::protocol::{report_json, write_report};
 use freezeml_service::{
     BindingReport, CheckReport, EngineSel, GenProgram, Outcome, SchemeId, Service, ServiceConfig,
@@ -133,7 +133,8 @@ fn the_writer_matches_the_reference_on_hand_built_reports() {
                 // Starts past the end of the text lie on its last line.
                 let start = rng.gen_range(0..src.len() + 5);
                 BindingReport {
-                    name: random_string(&mut rng, 8),
+                    // Binding names are interned symbols.
+                    name: Symbol::intern(&random_string(&mut rng, 8)).as_str(),
                     span: Span {
                         start,
                         end: start + 1,

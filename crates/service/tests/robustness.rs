@@ -78,7 +78,7 @@ fn a_panicking_binding_is_an_internal_error_not_a_crash() {
         .bindings
         .iter()
         .find(|b| b.outcome.is_typed() && b.name != "b")
-        .map(|b| b.name.clone())
+        .map(|b| b.name)
         .expect("a typed Int binding survives");
     assert_eq!(
         svc.shared().metrics().failpoint_trips.get("infer.binding"),
@@ -88,7 +88,7 @@ fn a_panicking_binding_is_an_internal_error_not_a_crash() {
 
     // ── The same service keeps answering after the panic…
     assert_eq!(
-        svc.type_of("m", &survivor)
+        svc.type_of("m", survivor)
             .unwrap()
             .unwrap()
             .outcome
@@ -126,7 +126,7 @@ fn a_panicking_binding_is_an_internal_error_not_a_crash() {
         .bindings
         .iter()
         .filter(|b| b.outcome.is_typed())
-        .map(|b| b.name.as_str())
+        .map(|b| b.name)
         .collect();
     assert_eq!(typed.len(), 12);
     let request = format!(r#"{{"cmd":"type-of","doc":"m","name":"{}"}}"#, typed[0]);

@@ -204,7 +204,7 @@ impl Backend {
                         .bindings
                         .iter()
                         .map(|b| BindLine {
-                            name: b.name.clone(),
+                            name: b.name.to_string(),
                             ok: b.outcome.is_typed(),
                             display: b.outcome.display(),
                         })

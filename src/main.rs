@@ -534,17 +534,17 @@ fn cmd_elaborate(cfg: ServiceConfig, files: &[String]) -> ExitCode {
                         .bindings
                         .iter()
                         .enumerate()
-                        .map(|(i, b)| (b.name.as_str(), i))
+                        .map(|(i, b)| (b.name, i))
                         .collect();
-                    let names: Vec<String> = report
+                    let names: Vec<&str> = report
                         .bindings
                         .iter()
                         .enumerate()
-                        .filter(|&(i, b)| last[b.name.as_str()] == i)
-                        .map(|(_, b)| b.name.clone())
+                        .filter(|&(i, b)| last[b.name] == i)
+                        .map(|(_, b)| b.name)
                         .collect();
                     for name in names {
-                        match svc.elaborate(&id, &name) {
+                        match svc.elaborate(&id, name) {
                             Ok(Some(e)) => {
                                 println!("  {} : {}", e.name, e.ty);
                                 println!("    = {}", e.fterm);

@@ -18,8 +18,9 @@
 //!   no socket and no sleeps. Against `service/warm-edit/<n>` it prices
 //!   the protocol boundary;
 //! * `service/proto/check/<n>` — a `check` line on an unchanged
-//!   document: a document-report cache hit, so the row is almost all
-//!   report writing;
+//!   document: the check pass finds nothing dirty and shares the
+//!   document's stored verdicts, so the row is almost all report
+//!   writing;
 //! * `service/proto/decode/<64K|1M>` — an `edit` line of that many
 //!   bytes of program text for a document that is not open: decoding
 //!   the line is the work, the answer is a short error;
@@ -39,11 +40,11 @@
 //!   nothing is overloaded (EXPERIMENTS.md);
 //! * `service/persisted-warm/<n>` — open the same `n`-binding program
 //!   in a *fresh process image*: a new hub warmed only from an on-disk
-//!   snapshot (`freezeml_service::persist`), so every verdict and the
-//!   whole-document report come off the restored cache, and every
-//!   scheme string off the load's one rendering of the restored DAG —
-//!   zero bindings rechecked, zero waves scheduled, nothing parsed
-//!   (the persistent-warm-start headline vs `service/cold/<n>`);
+//!   snapshot (`freezeml_service::persist`). The open parses and
+//!   analyses the text, then every verdict comes off the restored
+//!   cache and every scheme string off the load's one rendering of the
+//!   restored DAG — zero bindings rechecked, zero waves scheduled (the
+//!   persistent-warm-start headline vs `service/cold/<n>`);
 //! * `service/persisted-load/<n>` — the snapshot restore itself: fresh
 //!   hub + `persist::load` (decode, structural re-interning into the
 //!   scheme bank, one render per restored scheme, cache population) —
@@ -360,8 +361,8 @@ fn bench_persisted_warm(c: &mut Criterion) {
         assert!(out.loaded, "snapshot must load: {:?}", out.warning);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
-                // A fresh session against the restored hub: the open is
-                // served entirely from persisted state.
+                // A fresh session against the restored hub: every
+                // verdict of the open comes from persisted state.
                 let mut svc = Service::with_shared(
                     ServiceConfig {
                         opts: Options::default(),

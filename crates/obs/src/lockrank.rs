@@ -28,7 +28,6 @@
 //! | 10   | `SESSION_RX`    | `service::sock` shared accept→session receiver  |
 //! | 15   | `PERSIST_STOP`  | checkpointer stop flag (held across `save`)     |
 //! | 20   | `FRONTEND`      | `service::Shared` frontend (elaborator state)   |
-//! | 30   | `DOC_REPORTS`   | `service::Shared` per-document report map       |
 //! | 50   | `FAULT_TABLE`   | `service::fault` failpoint table                |
 //! | 60   | `CACHE_STRIPE`  | `service::Shared` verdict-cache stripe          |
 //! | 70   | `TRACE_SINK`    | `obs::trace` JSONL writer                       |
@@ -56,8 +55,6 @@ pub const SESSION_RX: Rank = Rank(10);
 pub const PERSIST_STOP: Rank = Rank(15);
 /// `service::Shared` frontend (elaborator) state.
 pub const FRONTEND: Rank = Rank(20);
-/// `service::Shared` per-document report map.
-pub const DOC_REPORTS: Rank = Rank(30);
 /// `service::fault` failpoint table.
 pub const FAULT_TABLE: Rank = Rank(50);
 /// `service::Shared` verdict-cache stripe.

@@ -398,10 +398,6 @@ pub struct Registry {
     pub verdict_hits: Counter,
     /// Verdict-cache misses.
     pub verdict_misses: Counter,
-    /// Whole-document report cache hits.
-    pub doc_hits: Counter,
-    /// Whole-document report cache misses.
-    pub doc_misses: Counter,
     /// Cache entries evicted by the persistence layer.
     pub evictions: Counter,
     /// Snapshot loads that restored state.

@@ -439,9 +439,9 @@ fn uses_prelude(pragmas: &[(String, String, Span)]) -> bool {
 }
 
 /// Write the checker options into a fingerprint: the value restriction,
-/// then the instantiation strategy as 0/1. The document key, the Merkle
-/// keys and the snapshot epoch all mix these words in this order, so
-/// changing it orphans every persisted snapshot.
+/// then the instantiation strategy as 0/1. The Merkle keys and the
+/// snapshot epoch both mix these words in this order, so changing it
+/// orphans every persisted snapshot.
 pub(crate) fn write_options(h: &mut Hasher64, opts: &Options) {
     h.write_u64(u64::from(opts.value_restriction));
     h.write_u64(match opts.instantiation {
@@ -450,10 +450,10 @@ pub(crate) fn write_options(h: &mut Hasher64, opts: &Options) {
     });
 }
 
-/// The whole-document cache key: text plus the same configuration
-/// fingerprint the Merkle keys mix in. Two sessions with different
-/// options or engines can share one hub without serving each other's
-/// reports.
+/// A whole-document key: text plus the same configuration fingerprint
+/// the Merkle keys mix in. No server path calls it: it is kept, with
+/// [`doc_verify`], only for `perfbench/src/traced.rs`, until ROADMAP
+/// item 6's benchmark change.
 pub fn doc_key(src: &str, opts: &Options, engine: EngineSel) -> u64 {
     let mut h = Hasher64::new();
     write_options(&mut h, opts);
@@ -462,15 +462,9 @@ pub fn doc_key(src: &str, opts: &Options, engine: EngineSel) -> u64 {
     h.finish()
 }
 
-/// An independent check digest for the whole-document cache. The
-/// content hash mixes adjacent words only lightly before the final
-/// avalanche, so two *structurally similar* documents (same length,
-/// differing in a couple of nearby words — exactly what an edit stream
-/// produces) can collide at realistic document counts. A doc-cache hit
-/// therefore verifies this second digest too — seeded differently, so
-/// the state-dependent collision condition of one hash is uncorrelated
-/// with the other's — making a false hit require a simultaneous
-/// 128-bit collision.
+/// A second whole-document digest, seeded apart from [`doc_key`]'s, so
+/// that a false match of both needs a simultaneous 128-bit collision.
+/// Kept, like [`doc_key`], only for `perfbench/src/traced.rs`.
 pub fn doc_verify(src: &str) -> u64 {
     let mut h = Hasher64::new();
     h.write_u64(0xD0C5_ECC0_5A17_ED00);
@@ -617,7 +611,7 @@ const GONE: usize = usize::MAX;
 
 impl Analysis {
     /// The analysis of the empty document under a configuration.
-    fn empty(opts: &Options, engine: EngineSel) -> Analysis {
+    pub(crate) fn empty(opts: &Options, engine: EngineSel) -> Analysis {
         let mut config = Hasher64::new();
         write_options(&mut config, opts);
         config.write_u64(engine.tag());
@@ -1150,17 +1144,18 @@ mod tests {
         }
     }
 
-    /// Snapshot files carry the epoch, document keys and Merkle keys;
-    /// these values were written by earlier builds, so changing how the
-    /// options are fingerprinted would orphan every existing snapshot.
-    /// The epochs also mix in the snapshot format version, so they move
-    /// (and only they) when it is bumped.
+    /// Snapshot files carry the epoch and the Merkle keys; these values
+    /// were written by earlier builds, so changing how the options are
+    /// fingerprinted would orphan every existing snapshot. The epochs
+    /// also mix in the snapshot format version, so they move (and only
+    /// they) when it is bumped. No snapshot holds a document key any
+    /// more; its pin keeps `doc_key` unchanged for perfbench.
     #[test]
     fn fingerprints_match_existing_snapshots() {
         let src = "#use prelude\nlet f = fun x -> x;;\nlet p = poly ~f;;\n";
         let (std, pure) = (Options::default(), Options::pure_freezeml());
-        assert_eq!(crate::persist::epoch(&std), 0x7105_0fad_a33a_dad6);
-        assert_eq!(crate::persist::epoch(&pure), 0x4fb1_44dd_f490_8e92);
+        assert_eq!(crate::persist::epoch(&std), 0x7f70_a4d1_4019_35a7);
+        assert_eq!(crate::persist::epoch(&pure), 0x14db_3505_b74f_aa99);
         assert_eq!(doc_key(src, &std, EngineSel::Uf), 0x4086_7fdb_91fa_5920);
         assert_eq!(
             std_analysis(src).keys,

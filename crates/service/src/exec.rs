@@ -15,13 +15,15 @@
 //! * everything else is **rechecked** — under `ENGINE=core`, `uf`, or
 //!   `both` (per-binding differential agreement).
 //!
-//! A pass after an edit (`Executor::run_reusing`) classifies only the
-//! **dirty** bindings: those the edit's patch of the analysis re-keyed,
-//! those whose previous verdict may not be served warm, and everything
-//! downstream of one. Every other binding keeps its previous verdict
-//! without a cache probe, and counts as it would in a full pass over the
-//! same hub: reused when typed or an error, blocked when blocked. A full
-//! pass is the case where every binding is dirty.
+//! A pass over a document's previous report (`Executor::run_reusing`)
+//! classifies only the **dirty** bindings: those the edit's patch of the
+//! analysis re-keyed, those whose previous verdict may not be served
+//! warm, and everything downstream of one. Every other binding keeps its
+//! previous verdict without a cache probe, and counts as it would in a
+//! full pass over the same hub: reused when typed or an error, blocked
+//! when blocked. A full pass is the case where every binding is dirty; a
+//! `check` is the case where nothing was re-keyed, and when nothing is
+//! dirty either it shares the previous verdicts instead of copying them.
 //!
 //! Checking a binding `let x (: A)? = M;;` infers the probe term
 //! `let x (: A)? = M in ⌈x⌉`, so the scheme is produced by the paper's
@@ -303,8 +305,8 @@ pub struct BindingReport {
 #[derive(Clone, Debug)]
 pub struct CheckReport {
     /// Per-binding verdicts, in declaration order. The slice is shared:
-    /// the document-report cache's warm copy, the sessions it serves and
-    /// every clone of the report point at the same bindings.
+    /// a `check` that changes no verdict answers with the previous
+    /// report's slice, and every clone of the report points at it too.
     pub bindings: Arc<[BindingReport]>,
     /// Bindings actually re-inferred this pass (cache misses).
     pub rechecked: usize,
@@ -320,21 +322,6 @@ pub struct CheckReport {
 }
 
 impl CheckReport {
-    /// The report a perfectly warm pass over these verdicts produces:
-    /// every binding served from cache, no inference waves. It is the
-    /// form the document-report cache stores and persists, so a hit is
-    /// indistinguishable from a warm per-binding pass. It shares
-    /// `bindings` rather than copying them.
-    pub(crate) fn warm(bindings: Arc<[BindingReport]>) -> CheckReport {
-        CheckReport {
-            reused: bindings.len(),
-            bindings,
-            rechecked: 0,
-            blocked: 0,
-            waves: 0,
-        }
-    }
-
     /// Did every binding type-check?
     pub fn all_typed(&self) -> bool {
         self.bindings.iter().all(|b| b.outcome.is_typed())
@@ -354,15 +341,22 @@ impl CheckReport {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeadlineExceeded;
 
-/// What a pass after an edit may reuse: the previous report's verdicts,
-/// indexed as before the patch that brought the analysis to its text.
+/// What a pass may reuse: the document's previous report, and the patch
+/// that brought the analysis from that report's text to its own —
+/// `None` when the text did not change (a `check`).
 #[derive(Clone, Copy)]
 pub(crate) struct Reuse<'a> {
-    pub(crate) bindings: &'a [BindingReport],
-    pub(crate) patch: &'a Patch,
+    pub(crate) report: &'a CheckReport,
+    pub(crate) patch: Option<&'a Patch>,
 }
 
 impl<'a> Reuse<'a> {
+    /// The index binding `i` had in the previous report, unless it was
+    /// re-keyed.
+    fn origin(self, i: usize) -> Option<usize> {
+        self.patch.map_or(Some(i), |p| p.origin(i))
+    }
+
     /// The dirty bindings' places among the pass's own verdicts, in
     /// index order, and [`CLEAN`] for every other binding. Dirty are the
     /// bindings the patch re-keyed, the ones whose previous verdict may
@@ -373,14 +367,15 @@ impl<'a> Reuse<'a> {
         let n = a.decls.len();
         // First mark the dirty bindings (any value but `CLEAN`)…
         let mut slots: Vec<u32> = (0..n)
-            .map(|i| match self.patch.origin(i) {
-                Some(o) if self.bindings[o].outcome.cacheable() => CLEAN,
+            .map(|i| match self.origin(i) {
+                Some(o) if self.report.bindings[o].outcome.cacheable() => CLEAN,
                 _ => 0,
             })
             .collect();
         // (the re-keyed set is closed under dependents already; only a
         // verdict that must be recomputed adds a cone of its own)…
-        if let Some(first) = (0..n).find(|&i| slots[i] != CLEAN && !self.patch.rekeyed(i)) {
+        let rekeyed = |i| self.patch.is_some_and(|p| p.rekeyed(i));
+        if let Some(first) = (0..n).find(|&i| slots[i] != CLEAN && !rekeyed(i)) {
             for i in first + 1..n {
                 if slots[i] == CLEAN && a.deps[i].iter().any(|&d| slots[d] != CLEAN) {
                     slots[i] = 0;
@@ -398,7 +393,7 @@ impl<'a> Reuse<'a> {
 
     /// The previous binding clean binding `i` keeps the verdict of.
     fn kept(self, i: usize) -> Option<&'a BindingReport> {
-        self.patch.origin(i).map(|o| &self.bindings[o])
+        self.origin(i).map(|o| &self.report.bindings[o])
     }
 }
 
@@ -440,7 +435,8 @@ impl Executor {
     /// `reuse`); the clean ones keep their previous verdicts. The body is
     /// monomorphised over the sink ([`freezeml_obs::TraceSink`]'s
     /// `ENABLED` const), so with tracing off it makes no clock reads and
-    /// builds no records.
+    /// builds no records: the `cache-probe`, `infer` and `wave` spans
+    /// compile away.
     pub(crate) fn run_reusing(
         &mut self,
         a: &Analysis,
@@ -464,6 +460,22 @@ impl Executor {
         sink: &S,
         deadline: Option<Instant>,
     ) -> Result<CheckReport, DeadlineExceeded> {
+        // The same text, and every verdict may be served warm: nothing is
+        // dirty, so the previous verdicts stand, shared rather than
+        // copied, and count as a full pass over the same hub would count
+        // them.
+        let unchanged = |r: &Reuse| {
+            r.patch.is_none() && r.report.bindings.iter().all(|b| b.outcome.cacheable())
+        };
+        if let Some(prev) = reuse.filter(unchanged).map(|r| r.report) {
+            return Ok(CheckReport {
+                bindings: Arc::clone(&prev.bindings),
+                rechecked: 0,
+                reused: prev.rechecked + prev.reused,
+                blocked: prev.blocked,
+                waves: 0,
+            });
+        }
         let n = a.decls.len();
         let bank = shared.bank();
         let cache = shared.cache();
@@ -549,6 +561,14 @@ impl Executor {
                     })
                     .collect();
                 jobs.push((i, dep_env));
+            }
+            if let Some(t0) = wave_t0 {
+                sink.emit(
+                    &Record::new("span", "cache-probe")
+                        .ctx(ctx)
+                        .wave(wave_no as u64)
+                        .dur(t0.elapsed()),
+                );
             }
 
             if jobs.is_empty() {
@@ -727,17 +747,29 @@ mod tests {
 
     #[test]
     fn a_warm_report_matches_a_fully_cached_pass() {
-        let src = "#use prelude\nlet a = 1;;\nlet b = plus a 1;;\nlet c = single id;;\n";
+        // A check of the same text with nothing to recompute shares the
+        // previous verdicts, and counts them as a full pass over the same
+        // hub does: blocked bindings stay blocked.
+        let src = "#use prelude\nlet a = 1;;\nlet b = plus a 1;;\nlet c = single id;;\n\
+            let bad = plus true 1;;\nlet child = plus bad 1;;\n";
         let a = analyze(src, &Options::default(), EngineSel::Uf).unwrap();
         let shared = Shared::new();
         let mut exec = Executor::new(1, Options::default(), EngineSel::Uf);
         let cold = exec.run(&a, &shared);
         let pass = exec.run(&a, &shared);
-        let warm = CheckReport::warm(cold.bindings);
+        let reuse = Reuse {
+            report: &cold,
+            patch: None,
+        };
+        let warm = exec
+            .run_reusing(&a, Some(reuse), &shared, TraceCtx::default(), None)
+            .unwrap();
+        assert!(Arc::ptr_eq(&warm.bindings, &cold.bindings), "not copied");
         assert_eq!(
             (warm.rechecked, warm.reused, warm.blocked, warm.waves),
             (pass.rechecked, pass.reused, pass.blocked, pass.waves)
         );
+        assert_eq!((pass.rechecked, pass.reused, pass.blocked), (0, 4, 1));
         let shown = |r: &CheckReport| -> Vec<(String, String)> {
             r.bindings
                 .iter()

@@ -3,15 +3,15 @@
 //! The database keys bindings by the hash of their *source slice* and
 //! combines dependency keys Merkle-style (see [`crate::db`]). The hash
 //! is a word-at-a-time multiply–xor-shift–multiply mix with a SplitMix64
-//! finaliser — not cryptographic, but the warm path hashes the whole
-//! document on every edit, so byte-serial hashes (FNV et al.) are
-//! measurably too slow. Each word is fully avalanched before the next
-//! is absorbed, which keeps collisions over thousands of similar
-//! documents at the generic n²/2⁶⁵ birthday bound; the cheaper
-//! FxHash-style step does *not* (see `Hasher64::mix` and the
+//! finaliser — not cryptographic, but a full analysis hashes every
+//! chunk of the document, so byte-serial hashes (FNV et al.) are
+//! measurably too slow. (An edit hashes only the chunks it changed, and
+//! no serving path hashes a document as one text.) Each word is fully
+//! avalanched before the next is absorbed, which keeps collisions over
+//! thousands of similar texts at the generic n²/2⁶⁵ birthday bound; the
+//! cheaper FxHash-style step does *not* (see `Hasher64::mix` and the
 //! `adjacent_word_edits_do_not_cancel` regression test). The parse
-//! cache additionally guards with a full slice comparison, and the
-//! document-report cache with an independently seeded second digest.
+//! cache additionally guards with a full slice comparison.
 //!
 //! [`U64Map`] is a `HashMap` keyed by already-hashed `u64`s with an
 //! identity hasher — no point running SipHash over a digest.

@@ -4,7 +4,7 @@
 //!
 //! ## What is persisted
 //!
-//! Three tables, all content-addressed (the in-memory keys already
+//! Two tables, both content-addressed (the in-memory keys already
 //! fingerprint text, dependencies, and configuration — [`crate::db`]):
 //!
 //! 1. the **scheme DAG** — the α-canonical nodes reachable from every
@@ -12,19 +12,18 @@
 //!    ([`freezeml_engine::snapshot`]); SchemeIds are process-local, so
 //!    loads remap them by structural re-interning;
 //! 2. the **Merkle verdict cache** — cache key → outcome (+ root index
-//!    and defaulted-variable count for typed outcomes);
-//! 3. the **document-report cache** — a re-opened unchanged document is
-//!    served wholesale, without parsing or scheduling anything.
+//!    and defaulted-variable count for typed outcomes).
 //!
 //! Principal types (paper Theorem 7) make each binding's scheme a
-//! function of its text and its dependencies' schemes, so these three
+//! function of its text and its dependencies' schemes, so these two
 //! are the whole warm state. Everything else is derived: a load renders
 //! each restored scheme once from the DAG
 //! ([`SchemeBank::pretty`](freezeml_engine::SchemeBank::pretty)) and
 //! names its defaulted variables with
 //! [`SchemeBank::defaulted_names`](freezeml_engine::SchemeBank::defaulted_names),
-//! exactly as inference does; a document is parsed when it is first
-//! analysed.
+//! exactly as inference does. A document reopened after a restart is
+//! parsed and analysed, and every binding of it is then a verdict-cache
+//! hit: no inference runs.
 //!
 //! ## Format
 //!
@@ -58,12 +57,11 @@
 //! (untouched-longest) entries are evicted from the file *and* the hub.
 
 use crate::db::{self, Outcome};
-use crate::exec::{BindingReport, CheckReport};
 use crate::fault;
 use crate::hash::Hasher64;
 use crate::shared::Shared;
 use crate::sync::{Arc, PoisonError};
-use freezeml_core::{Options, Span, Symbol};
+use freezeml_core::Options;
 use freezeml_engine::{PortableCon, PortableNode, SchemeId};
 use freezeml_obs::lockrank;
 use freezeml_obs::{Record, TraceCtx, Val};
@@ -77,7 +75,7 @@ const MAGIC: &[u8; 4] = b"FZSC";
 /// Bumped on any incompatible layout change (also mixed into the
 /// epoch). The header check refuses another version before the epoch
 /// or the layout is read, under the `version` reason.
-const FORMAT_VERSION: u32 = 2;
+const FORMAT_VERSION: u32 = 3;
 
 /// Header size in bytes: magic + version + epoch + generation +
 /// payload_len + checksum.
@@ -133,8 +131,6 @@ pub struct SaveOutcome {
     pub bytes: u64,
     /// Verdict-cache entries written.
     pub entries: usize,
-    /// Document reports written.
-    pub docs: usize,
     /// Entries evicted (file + memory) to meet the size cap.
     pub evicted: u64,
     /// Entries skipped because their scheme reaches an invented
@@ -153,8 +149,6 @@ pub struct LoadOutcome {
     pub loaded: bool,
     /// Verdict-cache entries restored.
     pub entries: usize,
-    /// Document reports restored.
-    pub docs: usize,
     /// Scheme nodes absorbed.
     pub nodes: usize,
     /// The generation the hub resumed at.
@@ -265,19 +259,11 @@ enum POutcome {
     Blocked { on: String },
 }
 
-#[derive(Debug)]
-struct PBinding {
-    name: String,
-    span: (u64, u64),
-    outcome: POutcome,
-}
-
 #[derive(Debug, Default)]
 struct DecodedSnapshot {
     nodes: Vec<PortableNode>,
+    /// `(cache key, generation, outcome)`.
     entries: Vec<(u64, u64, POutcome)>,
-    /// `(doc key, verify digest, generation, bindings)`.
-    docs: Vec<(u64, u64, u64, Vec<PBinding>)>,
 }
 
 fn enc_node(e: &mut Enc, n: &PortableNode) {
@@ -409,19 +395,6 @@ fn encode_payload(s: &DecodedSnapshot) -> Vec<u8> {
         e.u64(*gen);
         enc_outcome(&mut e, o);
     }
-    e.u32(s.docs.len() as u32);
-    for (key, verify, gen, bindings) in &s.docs {
-        e.u64(*key);
-        e.u64(*verify);
-        e.u64(*gen);
-        e.u32(bindings.len() as u32);
-        for b in bindings {
-            e.str(&b.name);
-            e.u64(b.span.0);
-            e.u64(b.span.1);
-            enc_outcome(&mut e, &b.outcome);
-        }
-    }
     e.buf
 }
 
@@ -438,25 +411,6 @@ fn decode_payload(data: &[u8]) -> DecResult<DecodedSnapshot> {
         let gen = d.u64()?;
         s.entries.push((key, gen, dec_outcome(&mut d)?));
     }
-    let n = d.count(28)?;
-    for _ in 0..n {
-        let key = d.u64()?;
-        let verify = d.u64()?;
-        let gen = d.u64()?;
-        let m = d.count(21)?;
-        let mut bindings = Vec::with_capacity(m);
-        for _ in 0..m {
-            let name = d.str()?;
-            let start = d.u64()?;
-            let end = d.u64()?;
-            bindings.push(PBinding {
-                name,
-                span: (start, end),
-                outcome: dec_outcome(&mut d)?,
-            });
-        }
-        s.docs.push((key, verify, gen, bindings));
-    }
     if d.remaining() != 0 {
         return Err(format!("{} trailing bytes", d.remaining()));
     }
@@ -465,45 +419,18 @@ fn decode_payload(data: &[u8]) -> DecResult<DecodedSnapshot> {
 
 // ----------------------------------------------------------------- save
 
-/// One eviction candidate: an entry or a doc report, with the key to
-/// drop it from memory by and a cheap size estimate.
-enum Item {
-    Entry(u64, u64, Outcome),
-    /// `(doc key, verify digest, generation, report)`.
-    Doc(u64, u64, u64, Arc<CheckReport>),
-}
-
-impl Item {
-    fn gen(&self) -> u64 {
-        match self {
-            Item::Entry(_, g, _) | Item::Doc(_, _, g, _) => *g,
-        }
-    }
-
-    fn est_bytes(&self) -> u64 {
-        fn outcome_est(o: &Outcome) -> u64 {
-            match o {
-                // The file holds a typed outcome's DAG nodes, not its
-                // string, but a load renders the string again. Charging
-                // three times its length bounds what a load renders, so
-                // the size cap evicts a verdict with a huge rendering
-                // instead of re-rendering it at every start.
-                Outcome::Typed { scheme, .. } => 48 + 3 * scheme.len() as u64,
-                Outcome::Error { class, message } => 24 + (class.len() + message.len()) as u64,
-                Outcome::Blocked { on } => 16 + on.len() as u64,
-                Outcome::Disagreement { .. } => 0, // never persisted
-            }
-        }
-        match self {
-            Item::Entry(_, _, o) => 17 + outcome_est(o),
-            Item::Doc(_, _, _, r) => {
-                28 + r
-                    .bindings
-                    .iter()
-                    .map(|b| 21 + b.name.len() as u64 + outcome_est(&b.outcome))
-                    .sum::<u64>()
-            }
-        }
+/// A cheap size estimate of one verdict-cache entry in the file.
+fn est_bytes(o: &Outcome) -> u64 {
+    17 + match o {
+        // The file holds a typed outcome's DAG nodes, not its string,
+        // but a load renders the string again. Charging three times its
+        // length bounds what a load renders, so the size cap evicts a
+        // verdict with a huge rendering instead of re-rendering it at
+        // every start.
+        Outcome::Typed { scheme, .. } => 48 + 3 * scheme.len() as u64,
+        Outcome::Error { class, message } => 24 + (class.len() + message.len()) as u64,
+        Outcome::Blocked { on } => 16 + on.len() as u64,
+        Outcome::Disagreement { .. } => 0, // never persisted
     }
 }
 
@@ -534,15 +461,10 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
     let t0 = Instant::now();
     let generation = shared.cache().generation();
 
-    // Collect candidates, newest generation first.
-    let mut items: Vec<Item> = Vec::new();
-    for (k, g, o) in shared.cache().export() {
-        items.push(Item::Entry(k, g, o));
-    }
-    for (k, v, g, r) in shared.export_doc_reports() {
-        items.push(Item::Doc(k, v, g, r));
-    }
-    items.sort_by_key(|i| std::cmp::Reverse(i.gen()));
+    // Collect `(key, generation, outcome)` candidates, newest
+    // generation first.
+    let mut items = shared.cache().export();
+    items.sort_by_key(|&(_, gen, _)| std::cmp::Reverse(gen));
 
     // Budget pre-pass on cheap size estimates.
     let budget = cfg.max_bytes.saturating_sub(HEADER_LEN as u64 + 64);
@@ -550,7 +472,7 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
     let mut dropped = Vec::new();
     let mut used = 0u64;
     for it in items {
-        let sz = it.est_bytes();
+        let sz = est_bytes(&it.2);
         if used + sz <= budget {
             used += sz;
             kept.push(it);
@@ -583,11 +505,7 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
         dropped.extend(kept.drain(cut..));
     };
 
-    // Count what survived into the file.
-    let (entries, docs) = kept.iter().fold((0usize, 0usize), |(e, d), it| match it {
-        Item::Entry(..) => (e + 1, d),
-        Item::Doc(..) => (e, d + 1),
-    });
+    let entries = kept.len();
 
     // Write: temp + fsync + atomic rename + directory fsync.
     std::fs::create_dir_all(&cfg.dir)?;
@@ -632,11 +550,8 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
     // entries leave the hub too, and the generation advances so future
     // touches are distinguishable from everything this snapshot saw.
     let evicted = dropped.len() as u64;
-    for it in &dropped {
-        match it {
-            Item::Entry(k, _, _) => shared.cache().remove(*k),
-            Item::Doc(k, _, _, _) => shared.remove_doc_report(*k),
-        }
+    for &(key, _, _) in &dropped {
+        shared.cache().remove(key);
     }
     shared.metrics().evictions.add(evicted);
     shared.cache().advance_generation();
@@ -659,37 +574,29 @@ pub fn save(shared: &Shared, epoch: u64, cfg: &PersistConfig) -> io::Result<Save
     Ok(SaveOutcome {
         bytes,
         entries,
-        docs,
         evicted,
         unportable,
         generation,
     })
 }
 
-/// Build the portable snapshot for the kept items: export the scheme
+/// Build the portable snapshot for the kept entries: export the scheme
 /// DAG reachable from their typed outcomes and translate outcomes.
-/// Returns the snapshot plus how many items were skipped as unportable.
-fn build_snapshot(shared: &Shared, kept: &[Item]) -> (DecodedSnapshot, usize) {
-    let bank = shared.bank();
-
+/// Returns the snapshot plus how many entries were skipped as
+/// unportable.
+fn build_snapshot(shared: &Shared, kept: &[(u64, u64, Outcome)]) -> (DecodedSnapshot, usize) {
     // Unique typed roots across everything kept.
     let mut roots: Vec<SchemeId> = Vec::new();
-    let mut seen = std::collections::HashMap::new();
-    let mut note = |o: &Outcome| {
+    let mut seen = std::collections::HashSet::new();
+    for (_, _, o) in kept {
         if let Outcome::Typed { id, .. } = o {
-            seen.entry(*id).or_insert_with(|| {
+            if seen.insert(*id) {
                 roots.push(*id);
-            });
-        }
-    };
-    for it in kept {
-        match it {
-            Item::Entry(_, _, o) => note(o),
-            Item::Doc(_, _, _, r) => r.bindings.iter().for_each(|b| note(&b.outcome)),
+            }
         }
     }
 
-    let (nodes, idxs) = bank.export_snapshot(&roots);
+    let (nodes, idxs) = shared.bank().export_snapshot(&roots);
     let idx_by_id: std::collections::HashMap<SchemeId, Option<u32>> =
         roots.iter().copied().zip(idxs).collect();
     let idx_of = |id: SchemeId| -> Option<u32> { idx_by_id.get(&id).copied().flatten() };
@@ -699,29 +606,10 @@ fn build_snapshot(shared: &Shared, kept: &[Item]) -> (DecodedSnapshot, usize) {
         ..DecodedSnapshot::default()
     };
     let mut unportable = 0usize;
-    for it in kept {
-        match it {
-            Item::Entry(k, g, o) => match portable_outcome(o, &idx_of) {
-                Some(po) => snapshot.entries.push((*k, *g, po)),
-                None => unportable += 1,
-            },
-            Item::Doc(k, v, g, r) => {
-                let bindings: Option<Vec<PBinding>> = r
-                    .bindings
-                    .iter()
-                    .map(|b| {
-                        portable_outcome(&b.outcome, &idx_of).map(|po| PBinding {
-                            name: b.name.to_string(),
-                            span: (b.span.start as u64, b.span.end as u64),
-                            outcome: po,
-                        })
-                    })
-                    .collect();
-                match bindings {
-                    Some(bs) => snapshot.docs.push((*k, *v, *g, bs)),
-                    None => unportable += 1,
-                }
-            }
+    for (k, g, o) in kept {
+        match portable_outcome(o, &idx_of) {
+            Some(po) => snapshot.entries.push((*k, *g, po)),
+            None => unportable += 1,
         }
     }
     (snapshot, unportable)
@@ -832,8 +720,8 @@ fn validate(data: &[u8], epoch_now: u64) -> Result<(u64, &[u8]), (&'static str, 
 }
 
 /// Apply a fully decoded snapshot. The scheme DAG absorbs first (ids
-/// remapped by structural re-interning); entries and reports whose
-/// roots are rejected are skipped individually. Each restored scheme is
+/// remapped by structural re-interning); entries whose roots are
+/// rejected are skipped individually. Each restored scheme is
 /// rendered once here, by the bank's memoised `pretty`.
 fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOutcome {
     let bank = shared.bank();
@@ -891,26 +779,6 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
             out.entries += 1;
         }
     }
-    for (key, verify, gen, bindings) in &snapshot.docs {
-        let restored: Option<Arc<[BindingReport]>> = bindings
-            .iter()
-            .map(|b| {
-                restore(&b.outcome).map(|o| BindingReport {
-                    name: Symbol::intern(&b.name).as_str(),
-                    span: Span {
-                        start: b.span.0 as usize,
-                        end: b.span.1 as usize,
-                    },
-                    outcome: o,
-                })
-            })
-            .collect();
-        if let Some(bindings) = restored {
-            let report = Arc::new(CheckReport::warm(bindings));
-            shared.insert_doc_report_with_gen(*key, *verify, report, *gen);
-            out.docs += 1;
-        }
-    }
     // Resume past the snapshot's generation: everything restored reads
     // as "last touched at generation ≤ header's", fresh work reads
     // newer.
@@ -930,7 +798,7 @@ fn apply(shared: &Shared, generation: u64, snapshot: DecodedSnapshot) -> LoadOut
 ///
 /// The stop lock carries `lockrank::PERSIST_STOP`, the lowest rank in
 /// the table, because the tick callback runs while it is held and
-/// acquires hub locks (doc reports, stripes, bank shards) underneath.
+/// acquires hub locks (cache stripes, bank shards) underneath.
 pub struct StopSignal {
     stop: lockrank::Mutex<bool>,
     cvar: lockrank::Condvar,
@@ -1086,7 +954,7 @@ impl Drop for Checkpointer {
 mod tests {
     use super::*;
     use crate::db::{analyze, EngineSel};
-    use crate::exec::Executor;
+    use crate::exec::{CheckReport, Executor};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1239,7 +1107,6 @@ mod tests {
             &DecodedSnapshot {
                 nodes: vec![PortableNode::Con(PortableCon::Int, vec![])],
                 entries: vec![(1, 0, typed(1)), (2, 0, typed(u32::MAX))],
-                ..DecodedSnapshot::default()
             },
         );
         let fresh = Shared::new();

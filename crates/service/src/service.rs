@@ -23,14 +23,13 @@
 //! assert_eq!((r.rechecked, r.reused), (1, 2));
 //! ```
 
-use crate::db::{analyze_cached_traced, doc_key, doc_verify, Analysis, EngineSel, Outcome};
+use crate::db::{Analysis, EngineSel, Outcome};
 use crate::exec::{BindingReport, CheckReport, DeadlineExceeded, Executor, Reuse};
 use crate::persist::{self, LoadOutcome, PersistConfig, SaveOutcome};
 use crate::shared::Shared;
 use crate::sync::Arc;
 use freezeml_core::{Options, ParseError};
 use freezeml_obs::{next_session_id, Registry, TraceCtx};
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
@@ -88,65 +87,47 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// An open document. When both its analysis and its report are there,
-/// they are of `text`, and they are the base the next edit patches
-/// ([`Service::edit`]).
+/// An open document. Its analysis and report are the base the next
+/// `open`, `edit` or `check` of it patches and reuses.
 struct Document {
+    /// The last text given that parsed — or, while none has, the first
+    /// text given.
     text: String,
-    /// `text`'s document-report cache key and verification digest
-    /// ([`Service::doc_id`]), computed once when `text` is set.
-    id: (u64, u64),
-    /// The analysis, computed lazily: a document served wholesale from
-    /// the document-report cache never parses at all — the analysis is
-    /// built on first demand (`elaborate`, a doc-cache miss).
-    analysis: OnceCell<Result<Analysis, ParseError>>,
-    report: Option<Arc<CheckReport>>,
+    /// The analysis of `text`, or of the empty document while `error` is
+    /// set.
+    analysis: Analysis,
+    /// The report of the last check pass over `analysis`; `None` when
+    /// that pass ran out of time.
+    report: Option<CheckReport>,
+    /// `text`'s parse error, while none of the document's texts has
+    /// parsed.
+    error: Option<ParseError>,
 }
 
 impl Document {
-    fn analyzed(
-        &self,
-        shared: &Shared,
-        opts: &Options,
-        engine: EngineSel,
-        ctx: TraceCtx,
-    ) -> &Result<Analysis, ParseError> {
-        self.analysis.get_or_init(|| {
-            let tracer = shared.tracer().clone();
-            let mut frontend = shared.frontend();
-            analyze_cached_traced(&mut frontend, &self.text, opts, engine, &tracer, ctx)
-        })
+    /// The document's analysis, unless none of its texts has parsed.
+    fn analysis(&self) -> Result<&Analysis, ServiceError> {
+        match &self.error {
+            Some(e) => Err(ServiceError::Parse(e.clone())),
+            None => Ok(&self.analysis),
+        }
     }
 }
 
-/// Make `report` the document's, folding it into the hub's metrics
-/// registry: every report a client sees is counted exactly once, whether
-/// it came off the executor, the document-report cache, or a persisted
-/// snapshot.
-fn keep<'d>(m: &Registry, entry: &'d mut Document, report: Arc<CheckReport>) -> &'d CheckReport {
+/// Make a check pass's report the document's, folding it into the hub's
+/// metrics registry: every report a client sees is counted exactly once.
+fn keep<'d>(
+    m: &Registry,
+    slot: &'d mut Option<CheckReport>,
+    pass: Result<CheckReport, DeadlineExceeded>,
+) -> Result<&'d CheckReport, ServiceError> {
+    let report = pass.map_err(|_| ServiceError::Deadline)?;
     m.bindings.add(report.bindings.len() as u64);
     m.rechecked.add(report.rechecked as u64);
     m.reused.add(report.reused as u64);
     m.blocked.add(report.blocked as u64);
     m.waves.add(report.waves as u64);
-    entry.report.insert(report)
-}
-
-/// Keep a check pass's report as the document's, and record it in the
-/// document-report cache under `id` when every verdict in it may be
-/// served warm.
-fn settle<'d>(
-    shared: &Shared,
-    entry: &'d mut Document,
-    (dkey, dverify): (u64, u64),
-    pass: Result<CheckReport, DeadlineExceeded>,
-) -> Result<&'d CheckReport, ServiceError> {
-    let report = pass.map_err(|_| ServiceError::Deadline)?;
-    if report.bindings.iter().all(|b| b.outcome.cacheable()) {
-        let warm = CheckReport::warm(Arc::clone(&report.bindings));
-        shared.record_doc_report(dkey, dverify, Arc::new(warm));
-    }
-    Ok(keep(shared.metrics(), entry, Arc::new(report)))
+    Ok(slot.insert(report))
 }
 
 /// The program-checking service. See the module docs.
@@ -264,167 +245,71 @@ impl Service {
         &self.shared
     }
 
-    /// The document-report cache key of `text` under this configuration,
-    /// with its verification digest.
-    fn doc_id(&self, text: &str) -> (u64, u64) {
-        (
-            doc_key(text, &self.cfg.opts, self.cfg.engine),
-            doc_verify(text),
-        )
-    }
-
-    /// One document-report cache probe (a `cache-probe` span).
-    fn probe(&self, (dkey, dverify): (u64, u64)) -> Option<Arc<CheckReport>> {
-        let _sp = self.shared.tracer().span("cache-probe", self.ctx);
-        self.shared.doc_report(dkey, dverify)
-    }
-
+    /// Patch the document's analysis to `text` and check the bindings
+    /// the patch dirtied; the others keep their verdicts from the
+    /// document's report. A new document, or one none of whose texts
+    /// has parsed, is patched from the empty document and checked in
+    /// full, as is one whose last check ran out of time.
     fn set_text(&mut self, doc: &str, text: &str) -> Result<&CheckReport, ServiceError> {
-        // Document-report fast path: a text already checked under this
-        // configuration — by this session, another session on the hub,
-        // or a previous process via the persisted cache — is served
-        // without parsing, analysing, or scheduling anything.
-        let id = self.doc_id(text);
-        let hit = self.probe(id);
-        if hit.is_some() {
-            let entry = self.docs.entry(doc.to_string()).or_insert(Document {
-                text: String::new(),
-                id,
-                analysis: OnceCell::new(),
-                report: None,
-            });
-            if entry.text != text {
-                entry.text = text.to_string();
-                entry.id = id;
-                entry.analysis = OnceCell::new();
-            }
-            return self.serve(doc, id, hit);
-        }
-        if let Some(patched) = self.edit_in_place(doc, text, id) {
-            patched?;
-            // The pass stored its report.
-            return self
-                .report(doc)
-                .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()));
-        }
-        // No base (a fresh document, one last served from the
-        // document-report cache, one whose last check ran out of time,
-        // or one whose text never parsed): patch the empty document, and
-        // check every binding.
-        let analyzed = {
-            let tracer = self.shared.tracer().clone();
-            let mut frontend = self.shared.frontend();
-            analyze_cached_traced(
-                &mut frontend,
-                text,
-                &self.cfg.opts,
-                self.cfg.engine,
-                &tracer,
-                self.ctx,
-            )
+        let mut fresh = Document {
+            text: String::new(),
+            analysis: Analysis::empty(&self.cfg.opts, self.cfg.engine),
+            report: None,
+            error: None,
         };
-        match analyzed {
-            Ok(analysis) => {
-                let cell = OnceCell::new();
-                cell.set(Ok(analysis)).ok();
-                self.docs.insert(
-                    doc.to_string(),
-                    Document {
-                        text: text.to_string(),
-                        id,
-                        analysis: cell,
-                        report: None,
-                    },
-                );
-                self.serve(doc, id, None)
-            }
-            Err(e) => {
-                // Last-good-state serving: a text that does not parse is
-                // reported but does not destroy an open document's
-                // analysis — `check`/`type-of` keep answering from the
-                // previous good text. A *fresh* document opened with bad
-                // text is recorded so a follow-up `edit` is legal.
-                let cell = OnceCell::new();
-                cell.set(Err(e.clone())).ok();
-                self.docs.entry(doc.to_string()).or_insert(Document {
-                    text: text.to_string(),
-                    id,
-                    analysis: cell,
-                    report: None,
-                });
-                Err(ServiceError::Parse(e))
-            }
-        }
-    }
-
-    /// Edit in place: with a base — the analysis and report of the
-    /// document's text — patch the analysis to `text` and check only the
-    /// dirty bindings; the others keep their verdicts. `None` when the
-    /// document has no base.
-    fn edit_in_place(
-        &mut self,
-        doc: &str,
-        text: &str,
-        id: (u64, u64),
-    ) -> Option<Result<(), ServiceError>> {
-        let entry = self.docs.get_mut(doc)?;
-        let (Some(Ok(a)), Some(base)) = (entry.analysis.get_mut(), entry.report.clone()) else {
-            return None;
+        let new = !self.docs.contains_key(doc);
+        let entry = self.docs.get_mut(doc).unwrap_or(&mut fresh);
+        let old = match entry.error {
+            Some(_) => "",
+            None => &entry.text,
         };
-        let patched = a.patch(
-            &entry.text,
+        let patched = entry.analysis.patch(
+            old,
             text,
             || self.shared.frontend(),
             self.shared.tracer(),
             self.ctx,
         );
-        // A text that does not parse leaves the document as it was
-        // (last-good-state serving, as in `set_text`).
         let patch = match patched {
             Ok(patch) => patch,
-            Err(e) => return Some(Err(ServiceError::Parse(e))),
+            Err(e) => {
+                // Last-good-state serving: a text that does not parse
+                // leaves the document as it was, so `check`/`type-of`
+                // keep answering from its last good text. A new document
+                // is recorded with the text and its error, so a
+                // follow-up `edit` is legal.
+                if new {
+                    fresh.text = text.to_string();
+                    fresh.error = Some(e.clone());
+                    self.docs.insert(doc.to_string(), fresh);
+                }
+                return Err(ServiceError::Parse(e));
+            }
         };
+        entry.error = None;
         entry.text.clear();
         entry.text.push_str(text);
-        entry.id = id;
         // The base is spent: after a deadline the document has an
-        // analysis but no report, and the next edit starts over.
-        entry.report = None;
-        let reuse = Reuse {
-            bindings: &base.bindings,
-            patch: &patch,
-        };
-        let pass = self
-            .exec
-            .run_reusing(a, Some(reuse), &self.shared, self.ctx, self.deadline);
-        Some(settle(&self.shared, entry, id, pass).map(|_| ()))
-    }
-
-    /// Give `doc` its report: `hit` when the document-report cache
-    /// served one, else a full check pass over the document's analysis,
-    /// recorded in that cache under `id` when every verdict in it may
-    /// be served warm.
-    fn serve(
-        &mut self,
-        doc: &str,
-        id: (u64, u64),
-        hit: Option<Arc<CheckReport>>,
-    ) -> Result<&CheckReport, ServiceError> {
-        let entry = self
-            .docs
-            .get_mut(doc)
-            .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
-        if let Some(report) = hit {
-            return Ok(keep(self.shared.metrics(), entry, report));
+        // analysis but no report, and its next pass is a full one.
+        let base = entry.report.take();
+        let reuse = base.as_ref().map(|r| Reuse {
+            report: r,
+            patch: Some(&patch),
+        });
+        let pass = self.exec.run_reusing(
+            &entry.analysis,
+            reuse,
+            &self.shared,
+            self.ctx,
+            self.deadline,
+        );
+        let kept = keep(self.shared.metrics(), &mut entry.report, pass).map(|_| ());
+        if new {
+            self.docs.insert(doc.to_string(), fresh);
         }
-        let a = entry
-            .analyzed(&self.shared, &self.cfg.opts, self.cfg.engine, self.ctx)
-            .as_ref()
-            .map_err(|e| ServiceError::Parse(e.clone()))?;
-        let pass = self
-            .exec
-            .run_budgeted(a, &self.shared, self.ctx, self.deadline);
-        settle(&self.shared, entry, id, pass)
+        kept?;
+        self.report(doc)
+            .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))
     }
 
     /// Open (or replace) a document and check it.
@@ -455,26 +340,36 @@ impl Service {
         self.set_text(doc, text)
     }
 
-    /// (Re)check a document. With a warm cache this is nearly free: the
-    /// document-report cache is probed with the key stored beside the
-    /// text, so the text is not hashed again.
+    /// (Re)check a document: the pass an `edit` to the same text would
+    /// run, with nothing re-keyed. Only verdicts that may not be served
+    /// warm, and their cones, are checked again; when there are none the
+    /// answer shares the previous report's verdicts, without a probe or
+    /// a copy.
     ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownDoc`] / [`ServiceError::Parse`].
     pub fn check(&mut self, doc: &str) -> Result<&CheckReport, ServiceError> {
-        let id = self
+        let entry = self
             .docs
-            .get(doc)
-            .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?
-            .id;
-        let hit = self.probe(id);
-        self.serve(doc, id, hit)
+            .get_mut(doc)
+            .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
+        // (A document none of whose texts has parsed has no report.)
+        let base = entry.report.take();
+        let a = entry.analysis()?;
+        let reuse = base.as_ref().map(|r| Reuse {
+            report: r,
+            patch: None,
+        });
+        let pass = self
+            .exec
+            .run_reusing(a, reuse, &self.shared, self.ctx, self.deadline);
+        keep(self.shared.metrics(), &mut entry.report, pass)
     }
 
     /// The latest report for a document, if it has been checked.
     pub fn report(&self, doc: &str) -> Option<&CheckReport> {
-        self.docs.get(doc).and_then(|d| d.report.as_deref())
+        self.docs.get(doc).and_then(|d| d.report.as_ref())
     }
 
     /// A document's current text.
@@ -526,10 +421,7 @@ impl Service {
             .docs
             .get(doc)
             .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
-        let a = match entry.analyzed(&self.shared, &self.cfg.opts, self.cfg.engine, self.ctx) {
-            Ok(a) => a,
-            Err(e) => return Err(ServiceError::Parse(e.clone())),
-        };
+        let a = entry.analysis()?;
         let report = entry.report.as_ref().ok_or_else(|| {
             ServiceError::Elaborate("the document has not been checked".to_string())
         })?;

@@ -1,6 +1,8 @@
 //! The hub state shared by every session of one serving process: the
-//! concurrent scheme bank, the striped outcome cache, the
-//! declaration-level parse cache, and the document-report cache.
+//! concurrent scheme bank, the striped outcome cache, and the
+//! declaration-level parse cache. There is no whole-document cache: a
+//! session's open documents keep their own analyses and reports
+//! ([`crate::service`]).
 //!
 //! One [`Shared`] behind an `Arc` is what makes the socket server
 //! ([`crate::sock`]) more than N isolated services: every connection
@@ -20,8 +22,8 @@
 //! snapshot. A lookup or insert re-stamps the entry with the current
 //! generation, so "entries untouched since generation g" is exactly the
 //! eviction candidate set when a snapshot must fit `--max-cache-bytes`.
-//! A check pass after an edit looks up only its dirty bindings, so the
-//! verdicts an open document keeps from its previous report are not
+//! A check pass over an open document's previous report looks up only
+//! its dirty bindings, so the verdicts the document keeps are not
 //! re-stamped. With persistence off, the generation sits at zero and the
 //! stamps are inert.
 //!
@@ -159,29 +161,11 @@ impl StripedCache {
     }
 }
 
-/// One cached whole-document report plus the independent text digest
-/// ([`crate::db::doc_verify`]) and its last-touched generation.
-struct DocSlot {
-    report: Arc<CheckReport>,
-    verify: u64,
-    gen: u64,
-}
-
-/// Cap on cached document reports; the per-binding cache is what
-/// matters, this is the fast path over it.
-const DOC_REPORT_CAP: usize = 4096;
-
 /// Cross-session shared state. See the module docs.
 pub struct Shared {
     bank: SchemeBank,
     cache: StripedCache,
     frontend: lockrank::Mutex<Frontend>,
-    /// Whole-document reports keyed by `db::doc_key` — text + config
-    /// fingerprint. A hit serves `open`/`check` without parsing or
-    /// scheduling at all; entries are only recorded for reports whose
-    /// every outcome is cacheable (no disagreements, no internal
-    /// errors), the same rule as the per-binding cache.
-    doc_reports: lockrank::Mutex<U64Map<DocSlot>>,
     /// The metrics registry — the single source of truth for every
     /// counter the serving stack exposes ([`freezeml_obs::metrics`]),
     /// including the persistence layer's eviction count.
@@ -207,11 +191,6 @@ impl Default for Shared {
                 lockrank::FRONTEND,
                 "service.frontend",
                 Frontend::default(),
-            ),
-            doc_reports: lockrank::Mutex::new(
-                lockrank::DOC_REPORTS,
-                "service.doc_reports",
-                U64Map::default(),
             ),
             metrics: Registry::default(),
             tracer: OnceLock::new(),
@@ -243,55 +222,23 @@ impl Shared {
         self.frontend.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn doc_lock(&self) -> lockrank::MutexGuard<'_, U64Map<DocSlot>> {
-        self.doc_reports
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Always `None`: the hub keeps no document reports. Kept only for
+    /// `perfbench/src/traced.rs`, until ROADMAP item 6's benchmark
+    /// change.
+    pub fn doc_report(&self, _key: u64, _verify: u64) -> Option<Arc<CheckReport>> {
+        None
     }
 
-    /// The cached report for a document key, if any. The caller's
-    /// independent text digest must match the stored one — a key
-    /// collision between similar documents must miss, never serve the
-    /// other document's report. A hit re-stamps the entry with the
-    /// current generation.
-    pub fn doc_report(&self, key: u64, verify: u64) -> Option<Arc<CheckReport>> {
-        let gen = self.cache.generation();
-        let mut g = self.doc_lock();
-        let hit = g.get_mut(&key).and_then(|slot| {
-            if slot.verify != verify {
-                return None;
-            }
-            slot.gen = gen;
-            Some(Arc::clone(&slot.report))
-        });
-        if hit.is_some() {
-            self.metrics.doc_hits.inc();
-        } else {
-            self.metrics.doc_misses.inc();
-        }
-        hit
-    }
+    /// Drops `report`: the hub keeps no document reports. Kept only for
+    /// `perfbench/src/traced.rs`, until ROADMAP item 6's benchmark
+    /// change.
+    pub fn record_doc_report(&self, _key: u64, _verify: u64, _report: Arc<CheckReport>) {}
 
-    /// Record a whole-document report at the current generation.
-    pub fn record_doc_report(&self, key: u64, verify: u64, report: Arc<CheckReport>) {
-        let gen = self.cache.generation();
-        let mut g = self.doc_lock();
-        if g.len() > DOC_REPORT_CAP {
-            g.clear(); // crude cap, like the frontend's
-        }
-        g.insert(
-            key,
-            DocSlot {
-                report,
-                verify,
-                gen,
-            },
-        );
-    }
-
-    /// Number of cached document reports (observability).
+    /// Always 0: the hub keeps no document reports. Kept only for
+    /// `perfbench/src/traced.rs`, until ROADMAP item 6's benchmark
+    /// change.
     pub fn doc_reports_len(&self) -> usize {
-        self.doc_lock().len()
+        0
     }
 
     /// The hub's metrics registry.
@@ -331,37 +278,5 @@ impl Shared {
         // `request_drain`; a loop seeing `true` also sees the
         // requester's prior writes.
         self.draining.load(Ordering::Acquire)
-    }
-
-    /// Snapshot the document reports as `(key, verify, generation,
-    /// report)`.
-    pub(crate) fn export_doc_reports(&self) -> Vec<(u64, u64, u64, Arc<CheckReport>)> {
-        self.doc_lock()
-            .iter()
-            .map(|(&k, slot)| (k, slot.verify, slot.gen, Arc::clone(&slot.report)))
-            .collect()
-    }
-
-    /// Install a document report with an explicit generation (load path).
-    pub(crate) fn insert_doc_report_with_gen(
-        &self,
-        key: u64,
-        verify: u64,
-        report: Arc<CheckReport>,
-        gen: u64,
-    ) {
-        self.doc_lock().insert(
-            key,
-            DocSlot {
-                report,
-                verify,
-                gen,
-            },
-        );
-    }
-
-    /// Drop a document report (eviction).
-    pub(crate) fn remove_doc_report(&self, key: u64) {
-        self.doc_lock().remove(&key);
     }
 }

@@ -159,12 +159,7 @@ fn catalogue(shared: &Shared) -> Vec<Row> {
     ]);
     let hits_total = "freezeml_cache_hits_total";
     let verdict = (m.verdict_hits.get(), m.verdict_misses.get(), cache.len());
-    let doc = (
-        m.doc_hits.get(),
-        m.doc_misses.get(),
-        shared.doc_reports_len(),
-    );
-    for (name, (hits, misses, entries)) in [("verdict", verdict), ("doc", doc), ("parse", parse)] {
+    for (name, (hits, misses, entries)) in [("verdict", verdict), ("parse", parse)] {
         let at = |leaf: &str| format!("caches.{name}.{leaf}");
         let cache_rows = [
             Count(hits).at(&at("hits"), hits_total),
@@ -402,18 +397,19 @@ mod tests {
     #[test]
     fn stats_json_reports_commands_reports_and_caches() {
         let mut s = uf_service();
-        let doc_probes = |s: &Service| {
+        let verdict_probes = |s: &Service| {
             let v = stats_json(s.shared());
-            let doc = v.get("caches").and_then(|c| c.get("doc")).unwrap();
-            let n = |k| doc.get(k).and_then(Json::as_num).unwrap();
-            (n("hits"), n("misses"))
+            let verdict = v.get("caches").and_then(|c| c.get("verdict")).unwrap();
+            let n = |k| verdict.get(k).and_then(Json::as_num).unwrap();
+            n("hits") + n("misses")
         };
-        // One document-report probe per request: the open misses once,
-        // and the check that follows hits.
+        // The open probes the verdict cache once per binding, and the
+        // check that follows not at all: it re-keys nothing, and every
+        // verdict may be served warm.
         handle_line(&mut s, WARMING[0], &mut String::new());
-        assert_eq!(doc_probes(&s), (0.0, 1.0), "after open");
+        assert_eq!(verdict_probes(&s), 2.0, "after open");
         handle_line(&mut s, WARMING[1], &mut String::new());
-        assert_eq!(doc_probes(&s), (1.0, 1.0), "after check");
+        assert_eq!(verdict_probes(&s), 2.0, "after check");
         handle_line(&mut s, WARMING[2], &mut String::new());
         let v = stats_json(s.shared());
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
@@ -551,8 +547,6 @@ mod tests {
             "waves" => m.waves.add(n),
             "verdict_hits" => m.verdict_hits.add(n),
             "verdict_misses" => m.verdict_misses.add(n),
-            "doc_hits" => m.doc_hits.add(n),
-            "doc_misses" => m.doc_misses.add(n),
             "evictions" => m.evictions.add(n),
             "cache_loads" => m.cache_loads.add(n),
             "checkpoints" => m.checkpoints.add(n),

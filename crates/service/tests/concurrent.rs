@@ -269,11 +269,11 @@ fn every_report_decomposes_bindings_into_rechecked_reused_blocked() {
         let r = svc.open("e", broken).unwrap();
         assert_invariant(r, "broken open");
         assert_eq!(r.blocked, 2, "child and grandchild are blocked");
-        // A warm recheck is served from the document-report cache with
-        // every binding relabelled `reused` — the decomposition must
-        // still balance, and the per-binding verdicts still say blocked.
+        // A warm recheck counts the blocked bindings as blocked again,
+        // and the per-binding verdicts still say so.
         let r = svc.check("e").unwrap().clone();
         assert_invariant(&r, "broken recheck");
+        assert_eq!(r.blocked, 2, "blocked bindings stay blocked");
         let still_blocked = r
             .bindings
             .iter()

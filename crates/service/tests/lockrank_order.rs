@@ -43,7 +43,6 @@ fn rank_constants_encode_the_production_nesting_order() {
         lockrank::SESSION_RX,
         lockrank::PERSIST_STOP,
         lockrank::FRONTEND,
-        lockrank::DOC_REPORTS,
         lockrank::FAULT_TABLE,
         lockrank::CACHE_STRIPE,
         lockrank::TRACE_SINK,
@@ -59,8 +58,8 @@ fn rank_constants_encode_the_production_nesting_order() {
 /// The deepest production nesting, end to end under the debug witness:
 /// a periodic checkpoint tick runs `persist::save` while holding the
 /// stop-signal lock (PERSIST_STOP, the lowest service rank precisely
-/// because of this), and `save` walks the doc reports, cache stripes,
-/// and bank shards. Any inversion in that chain panics the
+/// because of this), and `save` walks the cache stripes and the bank
+/// shards. Any inversion in that chain panics the
 /// checkpointer thread, the tick never lands, and this test times out
 /// loudly instead of passing.
 #[test]
@@ -75,8 +74,8 @@ fn checkpoint_tick_nests_cleanly_inside_the_stop_lock() {
         cfg.clone(),
         std::time::Duration::from_millis(10),
     );
-    // Give the tick real work: a checked document populates the bank,
-    // the striped cache, and the doc-report table.
+    // Give the tick real work: a checked document populates the bank
+    // and the striped cache.
     let mut svc = Service::with_shared(
         ServiceConfig {
             opts: Options::default(),

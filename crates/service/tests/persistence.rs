@@ -126,9 +126,8 @@ fn persisted_warm_equals_scratch_across_engines_and_restarts() {
         svc.save_cache().unwrap().unwrap();
         drop(svc);
 
-        // Cycle 2: restart, verify the warm verdicts (from the restored
-        // document report, then from the restored verdicts once an edit
-        // misses that report), edit (a generated program opens
+        // Cycle 2: restart, verify the warm verdicts (all restored, then
+        // all but the one an edit adds), edit (a generated program opens
         // alongside), snapshot again.
         let (mut svc, out) = restarted(engine, &dir);
         assert!(out.loaded, "snapshot must load: {:?}", out.warning);
@@ -195,27 +194,25 @@ fn a_persisted_warm_start_schedules_no_work_at_all() {
         (fe.chunk_count(), fe.parse_hits(), fe.parse_misses())
     };
     assert_eq!(parses(), (0, 0, 0), "a load parses nothing");
+    // The reopen analyses the document, and every binding of it is a
+    // restored verdict.
     let report = svc.open("doc", &text).unwrap();
     assert_eq!(report.rechecked, 0);
     assert_eq!(report.waves, 0, "no scheduling on a persisted warm start");
     assert_eq!(report.reused, 64);
+    assert_eq!(parses(), (64, 0, 64), "each chunk parsed once");
     assert_eq!(
         shared.bank().renders(),
         loaded_renders,
         "the open renders nothing beyond what the load rendered"
     );
-    assert_eq!(
-        parses(),
-        (0, 0, 0),
-        "the document-report hit parses nothing"
-    );
 
-    // And the first edit after a restart lands on the warm cache: only
-    // the dirty cone is rechecked. It is the first analysis, so it
-    // parses every chunk of the document.
+    // And the first edit after a restart patches that analysis and
+    // lands on the warm cache: it looks up only the edited chunk, and
+    // rechecks only the dirty cone.
     let edited = gen.with_edit(32, 99).text();
     let report = svc.edit("doc", &edited).unwrap();
-    assert_eq!(parses(), (64, 0, 64), "each chunk parsed once");
+    assert_eq!(parses(), (65, 0, 65), "one more chunk looked up");
     assert!(report.rechecked > 0, "the edit dirties its cone");
     assert!(
         report.rechecked < 64,

@@ -182,8 +182,8 @@ fn open_line(bytes: usize) -> String {
 }
 
 /// Answering a `check` line on `gen n 0` into a reused buffer, as the
-/// serving loop does: a document-report hit, so the time is the
-/// report writer's.
+/// serving loop does: nothing is dirty, so the pass shares the stored
+/// verdicts and the time is the report writer's.
 fn report_cost(n: usize) -> Duration {
     let text = GenProgram::generate(n, 0).text();
     let mut s = svc();

@@ -24,7 +24,7 @@
 //! ```
 
 use freezeml_core::Options;
-use freezeml_service::{serve_with, EngineSel, ServeOptions, Service, ServiceConfig};
+use freezeml_service::{serve_with, EngineSel, Request, ServeOptions, Service, ServiceConfig};
 
 const REQUESTS: &[u8] = include_bytes!("golden/transcript.in");
 const ANSWERS: &[u8] = include_bytes!("golden/transcript.out");
@@ -71,6 +71,36 @@ fn the_transcript_answers_are_byte_identical_under_each_engine() {
             got == ANSWERS,
             "{engine:?}: {}",
             first_difference(ANSWERS, &got)
+        );
+    }
+}
+
+/// A `check` counts each verdict as the pass that produced it did: the
+/// quoting document's error stays reused, and the two bindings blocked
+/// on it stay blocked.
+#[test]
+fn a_check_counts_blocked_bindings_as_blocked() {
+    let open = REQUESTS
+        .split(|&c| c == b'\n')
+        .filter_map(|l| std::str::from_utf8(l).ok())
+        .find(|l| l.starts_with(r#"{"cmd":"open","doc":"q"#))
+        .expect("the quoting document's open line");
+    let Ok(Request::Open { doc, text }) = Request::parse(open) else {
+        panic!("not an open request: {open}");
+    };
+    for engine in [EngineSel::Uf, EngineSel::Both] {
+        let mut svc = Service::new(ServiceConfig {
+            opts: Options::default(),
+            engine,
+            workers: 1,
+        });
+        let r = svc.open(&doc, &text).unwrap();
+        assert_eq!((r.rechecked, r.reused, r.blocked), (4, 0, 2), "{engine:?}");
+        let r = svc.check(&doc).unwrap();
+        assert_eq!(
+            (r.rechecked, r.reused, r.blocked, r.waves),
+            (0, 4, 2, 0),
+            "{engine:?}"
         );
     }
 }

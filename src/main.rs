@@ -307,9 +307,8 @@ fn report_load(out: &LoadOutcome) {
         eprintln!("freezeml: cache: starting cold ({w})");
     } else if out.loaded {
         eprintln!(
-            "freezeml: cache: warm start ({} verdict(s), {} document report(s), \
-             {} scheme node(s), generation {})",
-            out.entries, out.docs, out.nodes, out.generation
+            "freezeml: cache: warm start ({} verdict(s), {} scheme node(s), generation {})",
+            out.entries, out.nodes, out.generation
         );
     }
 }
@@ -489,9 +488,8 @@ fn cmd_check(
     match svc.save_cache() {
         Some(Err(e)) => eprintln!("freezeml: cache: snapshot failed: {e}"),
         Some(Ok(out)) => eprintln!(
-            "freezeml: cache: saved {} byte(s) ({} verdict(s), {} document report(s), \
-             generation {})",
-            out.bytes, out.entries, out.docs, out.generation
+            "freezeml: cache: saved {} byte(s) ({} verdict(s), generation {})",
+            out.bytes, out.entries, out.generation
         ),
         None => {}
     }

@@ -45,6 +45,12 @@
 //!   cache and every scheme string off the load's one rendering of the
 //!   restored DAG — zero bindings rechecked, zero waves scheduled (the
 //!   persistent-warm-start headline vs `service/cold/<n>`);
+//! * `service/analyze/<cold|warm>/2000` — the front end alone: chunk,
+//!   parse and analyse the 2000-binding document `gen 2000 0` with
+//!   `analyze_cached`, into a fresh parse cache (`cold`: every chunk
+//!   lexed and parsed; the cache is dropped inside the iteration) and
+//!   into one that already holds every chunk (`warm`: every lookup a
+//!   hit). Their ratio is what the parse cache saves a reopen;
 //! * `service/persisted-load/<n>` — the snapshot restore itself: fresh
 //!   hub + `persist::load` (decode, structural re-interning into the
 //!   scheme bank, one render per restored scheme, cache population) —
@@ -59,10 +65,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use freezeml_core::Options;
 use freezeml_service::{
-    handle_line,
+    analyze_cached, handle_line,
     load::{drive_tcp, LoadMix},
-    persist, EngineSel, GenProgram, PersistConfig, Request, ServeOptions, Service, ServiceConfig,
-    Shared, SocketServer,
+    persist, EngineSel, Frontend, GenProgram, PersistConfig, Request, ServeOptions, Service,
+    ServiceConfig, Shared, SocketServer,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -94,6 +100,32 @@ fn bench_cold(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+fn bench_analyze(c: &mut Criterion) {
+    let mut group = c.benchmark_group("service/analyze");
+    group
+        .measurement_time(Duration::from_secs(2))
+        .sample_size(20);
+    let n = 2000usize;
+    let text = GenProgram::generate(n, 0).text();
+    let opts = Options::default();
+    group.bench_with_input(BenchmarkId::new("cold", n), &n, |b, _| {
+        b.iter(|| {
+            let mut fe = Frontend::default();
+            let a = analyze_cached(&mut fe, &text, &opts, EngineSel::Uf).expect("parses");
+            a.decls.len()
+        });
+    });
+    let mut fe = Frontend::default();
+    analyze_cached(&mut fe, &text, &opts, EngineSel::Uf).expect("parses");
+    group.bench_with_input(BenchmarkId::new("warm", n), &n, |b, _| {
+        b.iter(|| {
+            let a = analyze_cached(&mut fe, &text, &opts, EngineSel::Uf).expect("parses");
+            a.decls.len()
+        });
+    });
     group.finish();
 }
 
@@ -406,6 +438,7 @@ fn bench_persisted_load(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cold,
+    bench_analyze,
     bench_warm_edit,
     bench_proto,
     bench_worker_scaling,

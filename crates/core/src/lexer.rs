@@ -4,8 +4,20 @@
 //! and `pair'` from Figure 2 lex as single identifiers). Comments run from
 //! `--` to end of line. The freeze, generalisation, and instantiation
 //! operators lex as `~`, `$`, and `@`.
+//!
+//! ## Chunks
+//!
+//! A program's `;;` terminators cut it into *chunks*: pragmas, then at
+//! most one declaration, which the chunk's only `;;` ends. The checking
+//! service parses a program chunk by chunk, so that an edit re-reads only
+//! the chunks it touched. [`terminator_end`] finds chunk ends by the rules
+//! [`lex`] reads `--` comments and `;;` with — one implementation of each
+//! — and [`is_space`] is the whitespace both skip. No other token holds a
+//! `-` or a `;`, so a `;;` it finds is one `lex` reads as
+//! [`TokenKind::SemiSemi`], and the lexer can start at any chunk end.
+//! [`lex_into`] lexes a chunk into a reused token buffer.
 
-use crate::symbol::Symbol;
+use crate::symbol::{Interner, Symbol};
 use std::fmt;
 
 /// A lexical token with its byte offset (for error reporting).
@@ -71,7 +83,7 @@ pub enum TokenKind {
     /// `;;` — top-level declaration terminator (program surface).
     SemiSemi,
     /// `#name` — a top-level pragma such as `#use` (program surface).
-    Pragma(String),
+    Pragma(Symbol),
 }
 
 impl fmt::Display for TokenKind {
@@ -124,26 +136,79 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
+/// Is `b` lexer whitespace? Only these four ASCII bytes are: Unicode
+/// whitespace (NBSP, U+2028, …) is an unexpected character.
+pub const fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
+}
+
+/// The `--` rule: when a line comment starts at byte `i`, the offset of
+/// the newline that ends it (or of the end of input).
+fn comment_end(bytes: &[u8], i: usize) -> Option<usize> {
+    if bytes.get(i) == Some(&b'-') && bytes.get(i + 1) == Some(&b'-') {
+        let rest = &bytes[i + 2..];
+        Some(i + 2 + rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len()))
+    } else {
+        None
+    }
+}
+
+/// The `;;` rule: does a terminator start at byte `i`?
+fn is_terminator(bytes: &[u8], i: usize) -> bool {
+    bytes.get(i) == Some(&b';') && bytes.get(i + 1) == Some(&b';')
+}
+
+/// Just past the first `;;` at or after byte `from` of `src` that is not
+/// inside a comment, by the rules [`lex`] reads them with; `None` when
+/// there is none. `from` must not lie inside a comment.
+pub fn terminator_end(src: &str, from: usize) -> Option<usize> {
+    let bytes = src.as_bytes();
+    let mut i = from;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'-' => match comment_end(bytes, i) {
+                Some(end) => i = end,
+                None => i += 1,
+            },
+            b';' if is_terminator(bytes, i) => return Some(i + 2),
+            _ => i += 1,
+        }
+    }
+    None
+}
+
 /// Tokenise the input.
 ///
 /// # Errors
 ///
 /// Returns a [`LexError`] on characters outside the surface syntax.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = src.as_bytes();
     let mut out = Vec::new();
+    lex_into(src, &mut out)?;
+    Ok(out)
+}
+
+/// Tokenise the input into `out`, which is cleared first: a caller that
+/// lexes many chunks reuses one buffer.
+///
+/// # Errors
+///
+/// Returns a [`LexError`] on characters outside the surface syntax.
+pub fn lex_into(src: &str, out: &mut Vec<Token>) -> Result<(), LexError> {
+    let bytes = src.as_bytes();
+    out.clear();
+    let mut names = Interner::new();
     let mut i = 0;
     while i < bytes.len() {
+        if let Some(end) = comment_end(bytes, i) {
+            i = end;
+            continue;
+        }
         let c = bytes[i] as char;
         let pos = i;
         match c {
-            ' ' | '\t' | '\n' | '\r' => {
+            _ if is_space(bytes[i]) => {
                 i += 1;
-            }
-            '-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
             }
             '-' if bytes.get(i + 1) == Some(&b'>') => {
                 out.push(Token {
@@ -257,7 +322,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 });
                 i += 1;
             }
-            ';' if bytes.get(i + 1) == Some(&b';') => {
+            ';' if is_terminator(bytes, i) => {
                 out.push(Token {
                     kind: TokenKind::SemiSemi,
                     pos,
@@ -274,7 +339,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
                 out.push(Token {
-                    kind: TokenKind::Pragma(src[start..i].to_string()),
+                    kind: TokenKind::Pragma(names.intern(&src[start..i])),
                     pos,
                 });
             }
@@ -311,7 +376,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     "forall" => TokenKind::Forall,
                     "true" => TokenKind::True,
                     "false" => TokenKind::False,
-                    _ => TokenKind::Ident(Symbol::intern(text)),
+                    _ => TokenKind::Ident(names.intern(text)),
                 };
                 out.push(Token { kind, pos });
             }
@@ -326,7 +391,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -422,7 +487,7 @@ mod tests {
         assert_eq!(
             kinds("#use prelude let x = 1;;"),
             vec![
-                TokenKind::Pragma("use".into()),
+                TokenKind::Pragma(Symbol::intern("use")),
                 TokenKind::Ident(Symbol::intern("prelude")),
                 TokenKind::Let,
                 TokenKind::Ident(Symbol::intern("x")),
@@ -431,6 +496,41 @@ mod tests {
                 TokenKind::SemiSemi,
             ]
         );
+    }
+
+    /// Every `;;` token the lexer reads ends a chunk [`terminator_end`]
+    /// finds, and no other offset does.
+    #[test]
+    fn terminators_are_the_lexers_semisemi_tokens() {
+        for src in [
+            "let x = 1;;\nlet y = x;;",
+            "let x = 1 -- not yet ;;\n;;",
+            "-- leading ;;\nlet x = 1;;;; -- tail ;;",
+            "#use prelude\nlet f = fun x -> x;;\n--;;\n--\n;;",
+            "x -> y --",
+            "",
+        ] {
+            let lexed: Vec<usize> = lex(src)
+                .unwrap()
+                .iter()
+                .filter(|t| t.kind == TokenKind::SemiSemi)
+                .map(|t| t.pos + 2)
+                .collect();
+            let mut found = Vec::new();
+            let mut at = 0;
+            while let Some(end) = terminator_end(src, at) {
+                found.push(end);
+                at = end;
+            }
+            assert_eq!(found, lexed, "{src:?}");
+        }
+    }
+
+    #[test]
+    fn lexing_into_a_buffer_replaces_its_tokens() {
+        let mut toks = lex("a b c d").unwrap();
+        lex_into("x", &mut toks).unwrap();
+        assert_eq!(toks, lex("x").unwrap());
     }
 
     #[test]

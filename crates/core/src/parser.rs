@@ -35,7 +35,7 @@
 
 use crate::lexer::{lex, LexError, Token, TokenKind};
 use crate::names::TyVar;
-use crate::program::{Decl, Program, Span};
+use crate::program::{requests_prelude, Decl, Program, Span};
 use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::tycon::TyCon;
@@ -80,7 +80,8 @@ impl From<LexError> for ParseError {
 ///
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse_type(src: &str) -> Result<Type, ParseError> {
-    let mut p = Parser::new(src)?;
+    let toks = lex(src)?;
+    let mut p = Parser::new(&toks, src.len());
     let t = p.ty()?;
     p.expect_end()?;
     Ok(t)
@@ -98,7 +99,8 @@ pub fn parse_type(src: &str) -> Result<Type, ParseError> {
 ///
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse_term(src: &str) -> Result<Term, ParseError> {
-    let mut p = Parser::new(src)?;
+    let toks = lex(src)?;
+    let mut p = Parser::new(&toks, src.len());
     let t = p.term()?;
     p.expect_end()?;
     Ok(t)
@@ -117,36 +119,104 @@ pub fn parse_term(src: &str) -> Result<Term, ParseError> {
 ///
 /// Returns a [`ParseError`] on malformed input.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let mut p = Parser::new(src)?;
-    let mut pragmas = Vec::new();
-    let mut decls = Vec::new();
-    loop {
-        match p.peek() {
-            None => break,
-            Some(TokenKind::Pragma(name)) => {
-                let name = name.clone();
-                let start = p.here();
-                p.pos += 1;
-                let arg_pos = p.here();
-                let arg = p.ident()?;
-                pragmas.push((
-                    name,
-                    arg.as_str().to_string(),
-                    Span {
-                        start,
-                        end: arg_pos + arg.as_str().len(),
-                    },
-                ));
+    let toks = lex(src)?;
+    let mut p = Parser::new(&toks, src.len());
+    let mut program = Program::default();
+    while let Some(item) = p.item()? {
+        match item {
+            Item::Pragma(name, arg, span) => {
+                let (name, arg) = (name.as_str().to_string(), arg.as_str().to_string());
+                program.pragmas.push((name, arg, span));
+            }
+            Item::Decl(d) => program.decls.push(d),
+        }
+    }
+    Ok(program)
+}
+
+/// Parse one chunk of a program from its tokens: pragmas, then at most
+/// one declaration, which ends the chunk. `len` is the chunk's length in
+/// bytes, the position an end-of-input error reports. The items are
+/// parsed by the code [`parse_program`] loops over, so a chunk cut at
+/// its only `;;` (as [`crate::lexer::terminator_end`] cuts them) fails
+/// with the error `parse_program` gives for it, and nothing is built
+/// beyond its declaration.
+///
+/// Returns whether the chunk requests the prelude (`#use prelude`), and
+/// its declaration.
+///
+/// ```
+/// use freezeml_core::{lexer::lex, parser::parse_chunk};
+/// let src = "#use prelude\nlet n = 1;;";
+/// let (prelude, decl) = parse_chunk(&lex(src).unwrap(), src.len()).unwrap();
+/// assert!(prelude);
+/// assert_eq!(decl.unwrap().name.as_str(), "n");
+/// ```
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] on malformed input.
+pub fn parse_chunk(toks: &[Token], len: usize) -> Result<(bool, Option<Decl>), ParseError> {
+    let mut p = Parser::new(toks, len);
+    let mut prelude = false;
+    while let Some(item) = p.item()? {
+        match item {
+            Item::Pragma(name, arg, _) => {
+                prelude |= requests_prelude(name.as_str(), arg.as_str());
+            }
+            Item::Decl(d) => {
+                p.expect_end()?;
+                return Ok((prelude, Some(d)));
+            }
+        }
+    }
+    Ok((prelude, None))
+}
+
+/// One top-level item of a program.
+enum Item {
+    /// `#name arg`, with its span.
+    Pragma(Symbol, Symbol, Span),
+    /// `let x (: A)? = M;;`.
+    Decl(Decl),
+}
+
+struct Parser<'t> {
+    toks: &'t [Token],
+    pos: usize,
+    src_len: usize,
+}
+
+impl<'t> Parser<'t> {
+    fn new(toks: &'t [Token], src_len: usize) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            src_len,
+        }
+    }
+
+    /// The next top-level item; `None` at the end of input.
+    fn item(&mut self) -> Result<Option<Item>, ParseError> {
+        match self.peek() {
+            None => Ok(None),
+            Some(&TokenKind::Pragma(name)) => {
+                let start = self.here();
+                self.pos += 1;
+                let arg_pos = self.here();
+                let arg = self.ident()?;
+                let end = arg_pos + arg.as_str().len();
+                Ok(Some(Item::Pragma(name, arg, Span { start, end })))
             }
             Some(TokenKind::Let) => {
-                let start = p.here();
-                p.pos += 1;
-                let (name, name_span, ann) = p.top_binder()?;
-                p.expect(TokenKind::Eq)?;
-                let term = p.term()?;
-                let semi_pos = p.here();
-                p.expect(TokenKind::SemiSemi)?;
-                decls.push(Decl {
+                let start = self.here();
+                self.pos += 1;
+                let (name, name_span, ann) = self.top_binder()?;
+                self.expect(TokenKind::Eq)?;
+                let term = self.term()?;
+                let semi_pos = self.here();
+                self.expect(TokenKind::SemiSemi)?;
+                Ok(Some(Item::Decl(Decl {
                     name,
                     ann,
                     term,
@@ -155,32 +225,15 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
                         end: semi_pos + 2,
                     },
                     name_span,
-                });
+                })))
             }
             Some(t) => {
                 let t = t.clone();
-                return p.err(format!(
+                self.err(format!(
                     "expected a `let` declaration or pragma, found `{t}`"
-                ));
+                ))
             }
         }
-    }
-    Ok(Program { pragmas, decls })
-}
-
-struct Parser {
-    toks: Vec<Token>,
-    pos: usize,
-    src_len: usize,
-}
-
-impl Parser {
-    fn new(src: &str) -> Result<Self, ParseError> {
-        Ok(Parser {
-            toks: lex(src)?,
-            pos: 0,
-            src_len: src.len(),
-        })
     }
 
     fn peek(&self) -> Option<&TokenKind> {
@@ -761,6 +814,43 @@ mod tests {
     fn frozen_requires_identifier() {
         assert!(parse_term("~3").is_err());
         assert!(parse_term("~(f x)").is_err());
+    }
+
+    /// A chunk parses to what the whole program parses to, and fails
+    /// with the whole program's error.
+    #[test]
+    fn a_chunk_parses_as_the_program_does() {
+        for src in [
+            "let f = fun x -> x;;",
+            "-- note\n#use prelude\n#use mystery\nlet (g : Int) = 1;;",
+            "#use prelude",
+            "-- only a comment",
+            "",
+            "let x = ;;",
+            "let x = 1",
+            "#use 1",
+            ";;",
+            "let x = 1 é;;",
+        ] {
+            let chunk = lex(src)
+                .map_err(ParseError::from)
+                .and_then(|toks| parse_chunk(&toks, src.len()));
+            match (chunk, parse_program(src)) {
+                (Ok((prelude, decl)), Ok(p)) => {
+                    assert_eq!(prelude, p.uses_prelude(), "{src:?}");
+                    assert_eq!(decl.as_ref(), p.decls.first(), "{src:?}");
+                }
+                (Err(c), Err(p)) => assert_eq!(c, p, "{src:?}"),
+                (c, p) => panic!("{src:?}: chunk {c:?}, program {p:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_declaration_ends_its_chunk() {
+        let src = "let x = 1;; let y = 2;;";
+        let e = parse_chunk(&lex(src).unwrap(), src.len()).unwrap_err();
+        assert_eq!(e.pos, 12, "{e}");
     }
 
     #[test]

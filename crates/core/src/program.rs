@@ -118,15 +118,16 @@ impl Decl {
     /// guarded values, demotion under the value restriction, annotation
     /// splitting and the escape check for annotated declarations.
     pub fn probe_term(&self) -> Term {
+        self.clone().into_probe_term()
+    }
+
+    /// [`Decl::probe_term`], built from the declaration's own term.
+    pub fn into_probe_term(self) -> Term {
         let x = Var::from_symbol(self.name);
-        match &self.ann {
-            None => Term::Let(x, Box::new(self.term.clone()), Box::new(Term::FrozenVar(x))),
-            Some(ann) => Term::LetAnn(
-                x,
-                ann.clone(),
-                Box::new(self.term.clone()),
-                Box::new(Term::FrozenVar(x)),
-            ),
+        let (rhs, body) = (Box::new(self.term), Box::new(Term::FrozenVar(x)));
+        match self.ann {
+            None => Term::Let(x, rhs, body),
+            Some(ann) => Term::LetAnn(x, ann, rhs, body),
         }
     }
 
@@ -147,6 +148,11 @@ impl fmt::Display for Decl {
     }
 }
 
+/// Is `#name arg` the pragma requesting the Figure 2 prelude?
+pub(crate) fn requests_prelude(name: &str, arg: &str) -> bool {
+    name == "use" && arg == "prelude"
+}
+
 /// A parsed program: pragmas followed by declarations.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Program {
@@ -161,7 +167,7 @@ impl Program {
     pub fn uses_prelude(&self) -> bool {
         self.pragmas
             .iter()
-            .any(|(name, arg, _)| name == "use" && arg == "prelude")
+            .any(|(name, arg, _)| requests_prelude(name, arg))
     }
 
     /// Pragmas other than the ones the checker understands
@@ -169,7 +175,7 @@ impl Program {
     pub fn unknown_pragmas(&self) -> Vec<(String, String, Span)> {
         self.pragmas
             .iter()
-            .filter(|(name, arg, _)| !(name == "use" && arg == "prelude"))
+            .filter(|(name, arg, _)| !requests_prelude(name, arg))
             .cloned()
             .collect()
     }
@@ -255,6 +261,9 @@ mod tests {
         let p = parse_program("let f = fun x -> x;;\nlet g : Int -> Int = fun x -> x;;").unwrap();
         assert!(matches!(p.decls[0].probe_term(), Term::Let(_, _, _)));
         assert!(matches!(p.decls[1].probe_term(), Term::LetAnn(_, _, _, _)));
+        for d in p.decls {
+            assert_eq!(d.probe_term(), d.clone().into_probe_term());
+        }
     }
 
     #[test]

@@ -198,35 +198,54 @@ impl Term {
     /// frozen occurrences both count). Drives the dependency analysis of
     /// top-level programs ([`crate::program`]).
     pub fn free_vars(&self) -> Vec<Var> {
-        fn go(t: &Term, scope: &mut Vec<Var>, seen: &mut HashSet<Var>, out: &mut Vec<Var>) {
-            match t {
-                Term::Var(x) | Term::FrozenVar(x) => {
-                    if !scope.contains(x) && seen.insert(*x) {
-                        out.push(*x);
+        let mut out = Vec::new();
+        self.free_vars_into(&mut out);
+        out
+    }
+
+    /// [`Term::free_vars`] into `out`, which is cleared first: a caller
+    /// collecting many terms' variables reuses one buffer.
+    pub fn free_vars_into(&self, out: &mut Vec<Var>) {
+        /// The binders around a subterm, innermost first, on the stack.
+        struct Scope<'s>(Option<(Var, &'s Scope<'s>)>);
+        impl Scope<'_> {
+            fn binds(&self, x: Var) -> bool {
+                let mut s = self;
+                while let Some((y, up)) = s.0 {
+                    if y == x {
+                        return true;
                     }
+                    s = up;
                 }
-                Term::Lam(x, b) | Term::LamAnn(x, _, b) => {
-                    scope.push(*x);
-                    go(b, scope, seen, out);
-                    scope.pop();
-                }
-                Term::App(f, a) => {
-                    go(f, scope, seen, out);
-                    go(a, scope, seen, out);
-                }
-                Term::Let(x, r, b) | Term::LetAnn(x, _, r, b) => {
-                    go(r, scope, seen, out);
-                    scope.push(*x);
-                    go(b, scope, seen, out);
-                    scope.pop();
-                }
-                Term::Lit(_) => {}
-                Term::TyApp(m, _) => go(m, scope, seen, out),
+                false
             }
         }
-        let mut out = Vec::new();
-        go(self, &mut Vec::new(), &mut HashSet::new(), &mut out);
-        out
+        fn go(t: &Term, scope: &Scope<'_>, out: &mut FreeVars<'_>) {
+            match t {
+                Term::Var(x) | Term::FrozenVar(x) => {
+                    if !scope.binds(*x) {
+                        out.insert(*x);
+                    }
+                }
+                Term::Lam(x, b) | Term::LamAnn(x, _, b) => go(b, &Scope(Some((*x, scope))), out),
+                Term::App(f, a) => {
+                    go(f, scope, out);
+                    go(a, scope, out);
+                }
+                Term::Let(x, r, b) | Term::LetAnn(x, _, r, b) => {
+                    go(r, scope, out);
+                    go(b, &Scope(Some((*x, scope))), out);
+                }
+                Term::Lit(_) => {}
+                Term::TyApp(m, _) => go(m, scope, out),
+            }
+        }
+        out.clear();
+        let mut out = FreeVars {
+            list: out,
+            set: HashSet::new(),
+        };
+        go(self, &Scope(None), &mut out);
     }
 
     /// Number of AST nodes.
@@ -237,6 +256,34 @@ impl Term {
             Term::App(f, a) => 1 + f.size() + a.size(),
             Term::Let(_, r, b) | Term::LetAnn(_, _, r, b) => 1 + r.size() + b.size(),
             Term::TyApp(m, _) => 1 + m.size(),
+        }
+    }
+}
+
+/// Free variables in order of first occurrence, deduplicated by a scan
+/// of the list while it is short (a declaration has a handful) and by a
+/// hash set past that, so that a term with many keeps linear cost.
+struct FreeVars<'v> {
+    list: &'v mut Vec<Var>,
+    /// Empty until the list outgrows [`FreeVars::SCAN`]. SipHash: the
+    /// names come from outside the program.
+    set: HashSet<Var>,
+}
+
+impl FreeVars<'_> {
+    const SCAN: usize = 32;
+
+    fn insert(&mut self, x: Var) {
+        let new = if self.list.len() < Self::SCAN {
+            !self.list.contains(&x)
+        } else {
+            if self.set.is_empty() {
+                self.set.extend(self.list.iter().copied());
+            }
+            self.set.insert(x)
+        };
+        if new {
+            self.list.push(x);
         }
     }
 }
@@ -310,6 +357,19 @@ mod tests {
         let app = Term::app(Term::var("f"), Term::var("x"));
         assert!(!app.is_gval(&Options::default()));
         assert!(app.is_gval(&Options::pure_freezeml()));
+    }
+
+    #[test]
+    fn free_vars_keep_first_occurrence_order_past_the_scan() {
+        let names: Vec<String> = (0..80).map(|i| format!("fv{i}")).collect();
+        // Each name twice, under a binder that is not free.
+        let mut t = Term::var(names[0].as_str());
+        for n in names.iter().chain(&names).skip(1) {
+            t = Term::app(t, Term::frozen(n.as_str()));
+        }
+        let t = Term::lam("bound", Term::app(t, Term::var("bound")));
+        let want: Vec<Var> = names.iter().map(|n| Var::named(n.as_str())).collect();
+        assert_eq!(t.free_vars(), want);
     }
 
     #[test]

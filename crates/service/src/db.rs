@@ -29,6 +29,19 @@
 //! binding's wave is therefore one more than the latest wave among its
 //! dependencies (0 without any), computed in the same forward pass.
 //!
+//! ## The front end
+//!
+//! A text is read chunk by chunk: a chunk ends at a `;;`, found by
+//! [`freezeml_core::lexer::terminator_end`] — the lexer's own comment and
+//! terminator rules, not a second scanner. Each chunk is looked up by the
+//! hash of its slice in the hub's [`Frontend`]; a miss lexes the slice
+//! into one reused token buffer and parses the tokens with
+//! [`freezeml_core::parser::parse_chunk`], the item code
+//! `parse_program` loops over. A chunked analysis fails with the first
+//! failing chunk's error. The cached declaration keeps the probe term
+//! every check borrows, its free variables and its content hash, and an
+//! analysis keeps every binding's dependencies in one index pool.
+//!
 //! ## Patching
 //!
 //! An analysis remembers the chunk layout of its text, so an edit patches
@@ -41,6 +54,8 @@
 
 use crate::hash::{hash_str, Hasher64, U64Map};
 use crate::sync::Arc;
+use freezeml_core::lexer::{is_space, lex_into, terminator_end, Token};
+use freezeml_core::parser::parse_chunk;
 use freezeml_core::{
     Decl, InstantiationStrategy, Options, ParseError, Program, Span, Symbol, Term, Type, Var,
 };
@@ -167,8 +182,8 @@ impl Outcome {
 }
 
 /// One analysed declaration: its position in the document plus a shared
-/// handle on the parsed chunk (term, annotation, free variables). The
-/// handle is an [`std::sync::Arc`] into the front-end's parse cache, so
+/// handle on the parsed chunk (probe term, free variables). The handle
+/// is an [`std::sync::Arc`] into the front-end's parse cache, so
 /// re-analysing a document after an edit clones no terms for the
 /// untouched declarations.
 #[derive(Clone, Debug)]
@@ -177,9 +192,10 @@ pub struct DeclInfo {
     pub span: Span,
     /// The bound name (absolute).
     pub name_span: Span,
-    /// The bound name (a copy of the chunk's, read without following
-    /// the `Arc`).
-    name: Symbol,
+    /// The bound name and its interned string (copies of the chunk's,
+    /// read without following the `Arc` or locking the symbol table).
+    sym: Symbol,
+    name: &'static str,
     chunk: Arc<ParsedDecl>,
     /// The hash of the declaration's source slice: the text its Merkle
     /// key covers.
@@ -187,8 +203,8 @@ pub struct DeclInfo {
 }
 
 impl DeclInfo {
-    /// The declaration of a chunk that starts at byte `at` of `src`.
-    fn new(chunk: Arc<ParsedDecl>, at: usize, src: &str) -> DeclInfo {
+    /// The declaration of a chunk that starts at byte `at`.
+    fn new(chunk: Arc<ParsedDecl>, at: usize) -> DeclInfo {
         let span = Span {
             start: chunk.decl_rel.start + at,
             end: chunk.decl_rel.end + at,
@@ -197,17 +213,13 @@ impl DeclInfo {
             start: chunk.name_rel.start + at,
             end: chunk.name_rel.end + at,
         };
-        // The content hash covers exactly the declaration (`let` through
-        // `;;`), NOT the whole chunk, which may carry leading comments: a
-        // comment-only edit re-parses the chunk but must not invalidate
-        // the binding's scheme.
-        let content = hash_str(src.get(span.start..span.end).unwrap_or_default());
         DeclInfo {
             span,
             name_span,
-            name: chunk.name,
+            sym: chunk.name,
+            name: chunk.name_str,
+            content: chunk.content,
             chunk,
-            content,
         }
     }
 
@@ -221,17 +233,20 @@ impl DeclInfo {
 
     /// The bound name.
     pub fn name(&self) -> &'static str {
-        self.name.as_str()
+        self.name
     }
 
     /// The bound name as an interned symbol.
     pub fn name_sym(&self) -> Symbol {
-        self.name
+        self.sym
     }
 
     /// The annotation, if any.
     pub fn ann(&self) -> Option<&Type> {
-        self.chunk.ann.as_ref()
+        match &self.chunk.probe {
+            Term::LetAnn(_, ann, _, _) => Some(ann),
+            _ => None,
+        }
     }
 
     /// The free term variables of the right-hand side.
@@ -240,22 +255,10 @@ impl DeclInfo {
     }
 
     /// The probe term whose type is the declaration's scheme —
-    /// `let x (: A)? = M in ⌈x⌉` (see [`freezeml_core::Decl::probe_term`]).
-    pub fn probe_term(&self) -> Term {
-        let x = Var::from_symbol(self.chunk.name);
-        match &self.chunk.ann {
-            None => Term::Let(
-                x,
-                Box::new(self.chunk.term.clone()),
-                Box::new(Term::FrozenVar(x)),
-            ),
-            Some(ann) => Term::LetAnn(
-                x,
-                ann.clone(),
-                Box::new(self.chunk.term.clone()),
-                Box::new(Term::FrozenVar(x)),
-            ),
-        }
+    /// `let x (: A)? = M in ⌈x⌉` (see [`freezeml_core::Decl::probe_term`]),
+    /// built once when the chunk is parsed.
+    pub fn probe_term(&self) -> &Term {
+        &self.chunk.probe
     }
 }
 
@@ -290,8 +293,8 @@ pub struct Analysis {
     pub uses_prelude: bool,
     /// The declarations, in order.
     pub decls: Vec<DeclInfo>,
-    /// `deps[i]` — indices of the declarations binding `i` depends on.
-    pub deps: Vec<Vec<usize>>,
+    /// Every binding's dependencies (see [`Analysis::deps`]).
+    deps: Deps,
     /// Binding indices grouped into topological waves, ascending within
     /// each wave: every dependency of a binding in wave `k` lies in a
     /// wave `< k`, so the bindings of one wave are independent.
@@ -331,27 +334,34 @@ pub fn analyze(src: &str, opts: &Options, engine: EngineSel) -> Result<Analysis,
 #[derive(Debug)]
 struct ParsedDecl {
     name: Symbol,
-    ann: Option<Type>,
-    term: Term,
+    name_str: &'static str,
+    /// The probe term `let x (: A)? = M in ⌈x⌉`, which every check of
+    /// the declaration borrows.
+    probe: Term,
     /// Slice-relative declaration span (`let` through `;;` — a chunk may
     /// carry leading comments the declaration span excludes).
     decl_rel: Span,
     /// Slice-relative name span.
     name_rel: Span,
     /// Free term variables of the right-hand side.
-    fv: Vec<Var>,
+    fv: Box<[Var]>,
+    /// The hash of the declaration's source slice.
+    content: u64,
 }
 
 impl ParsedDecl {
-    fn from_decl(d: Decl) -> Arc<ParsedDecl> {
-        let fv = d.term.free_vars();
+    /// A declaration whose source slice hashes to `content`, its free
+    /// variables collected in `fv`, a reused buffer.
+    fn new(d: Decl, content: u64, fv: &mut Vec<Var>) -> Arc<ParsedDecl> {
+        d.term.free_vars_into(fv);
         Arc::new(ParsedDecl {
             name: d.name,
-            ann: d.ann,
-            term: d.term,
+            name_str: d.name.as_str(),
             decl_rel: d.span,
             name_rel: d.name_span,
-            fv,
+            fv: fv.as_slice().into(),
+            content,
+            probe: d.into_probe_term(),
         })
     }
 }
@@ -362,26 +372,42 @@ type ChunkParse = (bool, Option<Arc<ParsedDecl>>);
 
 /// One declaration chunk, cached by the hash of its source slice.
 struct CachedChunk {
-    /// The exact slice (collision guard for the 64-bit key).
-    slice: String,
+    /// Where the exact slice sits in [`Frontend`]'s `slices` (collision
+    /// guard for the 64-bit key).
+    at: usize,
+    len: usize,
     /// Does the chunk hold `#use prelude`?
     prelude: bool,
     /// The declaration, if the chunk holds one.
     decl: Option<Arc<ParsedDecl>>,
 }
 
+/// A [`Frontend`] keeps its token buffer for the next chunk only while
+/// it holds at most this many tokens, so one huge chunk does not pin its
+/// tokens' memory.
+const TOKENS_KEPT: usize = 1 << 10;
+
 /// Slices a [`Frontend`] caches before the next analysis that opens it
 /// clears it.
 const FRONTEND_CAP: usize = 8192;
 
 /// A declaration-level parse cache: the expensive parts of analysing a
-/// chunk — term construction and free-variable collection — are cached
-/// per declaration slice and shared by `Arc`. A full analysis looks up
-/// every chunk here; an edit patched into an analysis looks up only the
-/// chunks whose bytes changed, so a reverted chunk is a hit.
+/// chunk — lexing, interning, term construction and free-variable
+/// collection — are cached per declaration slice and shared by `Arc`. A
+/// full analysis looks up every chunk here; an edit patched into an
+/// analysis looks up only the chunks whose bytes changed, so a reverted
+/// chunk is a hit. A miss lexes its slice into one reused token buffer
+/// and parses the tokens with [`parse_chunk`].
 #[derive(Default)]
 pub struct Frontend {
     chunks: U64Map<CachedChunk>,
+    /// The cached chunks' slices, end to end.
+    slices: String,
+    /// Buffers reused from one missed chunk to the next: its tokens
+    /// (unless they were too many to keep, [`TOKENS_KEPT`]) and its free
+    /// variables.
+    toks: Vec<Token>,
+    fv: Vec<Var>,
     /// Chunk lookups served from the cache (observability; plain
     /// fields — the whole `Frontend` already sits behind the hub's
     /// mutex).
@@ -410,32 +436,47 @@ impl Frontend {
     /// from the cache, else parsed and cached.
     fn look_up(&mut self, slice: &str, at: usize) -> Result<ChunkParse, ParseError> {
         let key = hash_str(slice);
-        if let Some(c) = self.chunks.get(&key).filter(|c| c.slice == slice) {
+        let cached = |c: &&CachedChunk| self.slices.get(c.at..c.at + c.len) == Some(slice);
+        if let Some(c) = self.chunks.get(&key).filter(cached) {
             self.hits += 1;
             return Ok((c.prelude, c.decl.clone()));
         }
         self.misses += 1;
-        let parsed = freezeml_core::parse_program(slice).map_err(|e| ParseError {
-            msg: e.msg,
-            pos: e.pos + at,
-        })?;
-        debug_assert!(parsed.decls.len() <= 1, "one `;;` per chunk");
+        let (prelude, decl) = lex_into(slice, &mut self.toks)
+            .map_err(ParseError::from)
+            .and_then(|()| parse_chunk(&self.toks, slice.len()))
+            .map_err(|e| ParseError {
+                msg: e.msg,
+                pos: e.pos + at,
+            })?;
+        let decl = decl.map(|d| {
+            // The content hash covers exactly the declaration (`let`
+            // through `;;`), NOT the whole chunk, which may carry leading
+            // comments: a comment-only edit re-parses the chunk but must
+            // not invalidate the binding's scheme. Mostly the chunk is
+            // just the declaration, and its key is the hash.
+            let Span { start, end } = d.span;
+            let content = if (start, end) == (0, slice.len()) {
+                key
+            } else {
+                hash_str(&slice[start..end])
+            };
+            ParsedDecl::new(d, content, &mut self.fv)
+        });
+        if self.toks.capacity() > TOKENS_KEPT {
+            self.toks = Vec::new();
+        }
         let chunk = CachedChunk {
-            slice: slice.to_string(),
-            prelude: uses_prelude(&parsed.pragmas),
-            decl: parsed.decls.into_iter().next().map(ParsedDecl::from_decl),
+            at: self.slices.len(),
+            len: slice.len(),
+            prelude,
+            decl,
         };
+        self.slices.push_str(slice);
         let out = (chunk.prelude, chunk.decl.clone());
         self.chunks.insert(key, chunk);
         Ok(out)
     }
-}
-
-/// Does a pragma list request the Figure 2 prelude?
-fn uses_prelude(pragmas: &[(String, String, Span)]) -> bool {
-    pragmas
-        .iter()
-        .any(|(name, arg, _)| name == "use" && arg == "prelude")
 }
 
 /// Write the checker options into a fingerprint: the value restriction,
@@ -472,17 +513,17 @@ pub fn doc_verify(src: &str) -> u64 {
     h.finish()
 }
 
-/// The lexer's whitespace. Chunks are trimmed of exactly these (so a
-/// reindented but otherwise untouched declaration still hits the
-/// cache): `str::trim_start` would also eat Unicode whitespace (NBSP,
-/// U+2028, …) that the lexer *rejects*, silently accepting programs the
-/// plain front-end errors on.
-const LEXER_WS: [char; 4] = [' ', '\t', '\n', '\r'];
-
-/// `start..end` of `src` with its leading lexer whitespace skipped.
+/// `start..end` of `src` with its leading lexer whitespace skipped (so
+/// a reindented but otherwise untouched declaration still hits the
+/// cache). Only the lexer's: `str::trim_start` would also eat Unicode
+/// whitespace (NBSP, U+2028, …) that the lexer *rejects*, silently
+/// accepting programs the plain front-end errors on.
 fn trimmed(src: &str, start: usize, end: usize) -> (usize, usize) {
-    let slice = &src[start..end];
-    (end - slice.trim_start_matches(LEXER_WS).len(), end)
+    let blank = src.as_bytes()[start..end]
+        .iter()
+        .take_while(|&&b| is_space(b))
+        .count();
+    (start + blank, end)
 }
 
 /// The length of the longest common prefix of `a` and `b`.
@@ -556,12 +597,14 @@ impl Patch {
     }
 }
 
-/// Like [`analyze`], but with a declaration-level parse cache: only
-/// chunks whose source slice is not in `fe` are parsed.
+/// Like [`analyze`], but chunk by chunk through a declaration-level parse
+/// cache: only chunks whose source slice is not in `fe` are parsed.
 ///
 /// # Errors
 ///
-/// A [`ParseError`] (positions are absolute into `src`).
+/// A [`ParseError`], the first failing chunk's (positions are absolute
+/// into `src`). [`analyze`] lexes the whole text first, so where a later
+/// chunk does not lex it reports that instead.
 pub fn analyze_cached(
     fe: &mut Frontend,
     src: &str,
@@ -591,16 +634,20 @@ pub fn analyze_cached_traced(
 /// Analyse an already-parsed program (spans must index into `src`).
 pub fn analyze_parsed(program: Program, src: &str, opts: &Options, engine: EngineSel) -> Analysis {
     let mut a = Analysis::empty(opts, engine);
+    a.prelude_chunks = usize::from(program.uses_prelude());
+    let mut fv = Vec::new();
     a.decls = program
         .decls
         .into_iter()
-        .map(|d| DeclInfo::new(ParsedDecl::from_decl(d), 0, src))
+        .map(|d| {
+            let content = hash_str(src.get(d.span.start..d.span.end).unwrap_or_default());
+            DeclInfo::new(ParsedDecl::new(d, content, &mut fv), 0)
+        })
         .collect();
     let n = a.decls.len();
-    a.deps = vec![Vec::new(); n];
+    a.deps.splice(0, 0, n);
     a.keys = vec![0; n];
     a.wave_of = vec![0; n];
-    a.prelude_chunks = usize::from(uses_prelude(&program.pragmas));
     a.relink(0, n, &FxHashSet::default(), vec![true; n], true);
     a
 }
@@ -608,6 +655,71 @@ pub fn analyze_parsed(program: Program, src: &str, opts: &Options, engine: Engin
 /// The marker a dependency on a replaced declaration carries until it
 /// is re-resolved.
 const GONE: usize = usize::MAX;
+
+/// Every binding's dependencies in one index pool: binding `i`'s are
+/// `pool[ranges[i].0..ranges[i].1]`. A list that a patch re-resolves is
+/// rewritten in place when it does not grow, else appended; the pool is
+/// compacted once its dead entries outnumber its live ones.
+#[derive(Clone, Debug, Default)]
+struct Deps {
+    pool: Vec<usize>,
+    ranges: Vec<(usize, usize)>,
+    /// Pool entries no range covers.
+    dead: usize,
+}
+
+impl Deps {
+    fn get(&self, i: usize) -> &[usize] {
+        let (s, e) = self.ranges[i];
+        &self.pool[s..e]
+    }
+
+    /// Make binding `i`'s dependencies `ds`.
+    fn set(&mut self, i: usize, ds: &[usize]) {
+        let (s, e) = self.ranges[i];
+        if ds.len() <= e - s {
+            self.pool[s..s + ds.len()].copy_from_slice(ds);
+            self.ranges[i] = (s, s + ds.len());
+            self.dead += e - s - ds.len();
+        } else {
+            self.dead += e - s;
+            let at = self.pool.len();
+            self.pool.extend_from_slice(ds);
+            self.ranges[i] = (at, self.pool.len());
+        }
+    }
+
+    /// Replace bindings `d0..d1` by `m` bindings without dependencies.
+    fn splice(&mut self, d0: usize, d1: usize, m: usize) {
+        let gone: usize = self.ranges[d0..d1].iter().map(|&(s, e)| e - s).sum();
+        self.dead += gone;
+        self.ranges.splice(d0..d1, std::iter::repeat_n((0, 0), m));
+    }
+
+    /// Map every dependency of bindings `i..` through `f`.
+    fn renumber_from(&mut self, i: usize, f: impl Fn(usize) -> usize) {
+        for &(s, e) in &self.ranges[i..] {
+            for t in &mut self.pool[s..e] {
+                *t = f(*t);
+            }
+        }
+    }
+
+    fn compact(&mut self) {
+        if self.dead * 2 <= self.pool.len() {
+            return;
+        }
+        let mut pool = Vec::with_capacity(self.pool.len() - self.dead);
+        for r in &mut self.ranges {
+            let at = pool.len();
+            pool.extend_from_slice(&self.pool[r.0..r.1]);
+            *r = (at, pool.len());
+        }
+        debug_assert_eq!(pool.len(), self.pool.len() - self.dead, "dead entries");
+        self.pool = pool;
+        self.dead = 0;
+    }
+}
 
 impl Analysis {
     /// The analysis of the empty document under a configuration.
@@ -618,7 +730,7 @@ impl Analysis {
         Analysis {
             uses_prelude: false,
             decls: Vec::new(),
-            deps: Vec::new(),
+            deps: Deps::default(),
             waves: Vec::new(),
             keys: Vec::new(),
             wave_of: Vec::new(),
@@ -677,8 +789,11 @@ impl Analysis {
         if !stale.is_empty() {
             let mut fe = frontend();
             if fe.chunks.len() > FRONTEND_CAP {
-                fe.chunks.clear(); // crude cap; the scheme cache is what matters
+                // A crude cap; the scheme cache is what matters.
+                fe.chunks.clear();
+                fe.slices.clear();
             }
+            fe.chunks.reserve(stale.len());
             for &j in &stale {
                 let (s, e) = win.spans[j];
                 parsed[j] = Some(fe.look_up(&new[s..e], s)?);
@@ -686,7 +801,7 @@ impl Analysis {
         }
         drop(parse_span);
         let _dep_span = tracer.span("dep-graph", ctx);
-        Ok(self.splice(win, parsed, new, new.len().wrapping_sub(old.len())))
+        Ok(self.splice(win, parsed, new.len().wrapping_sub(old.len())))
     }
 
     /// Step 1 of [`Analysis::patch`]: the chunks an edit from `old` to
@@ -710,39 +825,29 @@ impl Analysis {
         let mut start = if k0 == 0 { 0 } else { self.chunks[k0 - 1].end };
         let mut spans = Vec::new();
         let (mut k, mut k1) = (k0, None);
-        let mut i = start;
-        while i < nb.len() && k1.is_none() {
-            match nb[i] {
-                b'-' if nb.get(i + 1) == Some(&b'-') => {
-                    while i < nb.len() && nb[i] != b'\n' {
-                        i += 1;
-                    }
+        while k1.is_none() {
+            let Some(end) = terminator_end(new, start) else {
+                break;
+            };
+            spans.push(trimmed(new, start, end));
+            start = end;
+            // Resynchronise: past the edit, a chunk that ends where an
+            // old chunk ends is followed by the same text, which
+            // therefore chunks as before. A new `--` can swallow old
+            // `;;`s, so this may be several old chunks on.
+            if end >= tail {
+                let e = end.wrapping_sub(delta);
+                while k < last && self.chunks[k].end < e {
+                    k += 1;
                 }
-                b';' if nb.get(i + 1) == Some(&b';') => {
-                    i += 2;
-                    spans.push(trimmed(new, start, i));
-                    start = i;
-                    // Resynchronise: past the edit, a chunk that ends
-                    // where an old chunk ends is followed by the same
-                    // text, which therefore chunks as before. A new `--`
-                    // can swallow old `;;`s, so this may be several old
-                    // chunks on.
-                    if i >= tail {
-                        let e = i.wrapping_sub(delta);
-                        while k < last && self.chunks[k].end < e {
-                            k += 1;
-                        }
-                        if k < last && self.chunks[k].end == e {
-                            k1 = Some(k + 1);
-                        }
-                    }
+                if k < last && self.chunks[k].end == e {
+                    k1 = Some(k + 1);
                 }
-                _ => i += 1,
             }
         }
         // A non-blank rest after the last `;;` is a chunk of its own: the
         // per-chunk parse reports it (pragmas only, or a parse error).
-        let trailer = k1.is_none() && !new[start..].trim_matches(LEXER_WS).is_empty();
+        let trailer = k1.is_none() && !nb[start..].iter().all(|&b| is_space(b));
         if trailer {
             spans.push(trimmed(new, start, nb.len()));
         }
@@ -756,13 +861,7 @@ impl Analysis {
 
     /// Steps 3 and 4 of [`Analysis::patch`]: put the window's chunks in
     /// place, move everything after it by `delta` bytes, and relink.
-    fn splice(
-        &mut self,
-        win: Window,
-        parsed: Vec<Option<ChunkParse>>,
-        new: &str,
-        delta: usize,
-    ) -> Patch {
+    fn splice(&mut self, win: Window, parsed: Vec<Option<ChunkParse>>, delta: usize) -> Patch {
         let Window {
             k0,
             k1,
@@ -801,7 +900,7 @@ impl Analysis {
                             if was != is {
                                 moved.extend([was, is]);
                             }
-                            self.decls[i] = DeclInfo::new(decl, s, new);
+                            self.decls[i] = DeclInfo::new(decl, s);
                             rekeyed[i] = true;
                         }
                     }
@@ -812,7 +911,7 @@ impl Analysis {
         } else {
             // Replace the window's chunks and declarations wholesale.
             let mut chunks = Vec::with_capacity(spans.len());
-            let mut decls = Vec::new();
+            let mut decls = Vec::with_capacity(spans.len());
             for (j, (&(s, e), p)) in spans.iter().zip(parsed).enumerate() {
                 let (prelude, decl) = match p {
                     None => {
@@ -824,7 +923,7 @@ impl Analysis {
                         });
                         (c.prelude, decl)
                     }
-                    Some((prelude, decl)) => (prelude, decl.map(|d| DeclInfo::new(d, s, new))),
+                    Some((prelude, decl)) => (prelude, decl.map(|d| DeclInfo::new(d, s))),
                 };
                 chunks.push(Chunk {
                     start: s,
@@ -847,18 +946,16 @@ impl Analysis {
             self.prelude_chunks = self.prelude_chunks + chunks.iter().filter(|c| c.prelude).count()
                 - self.chunks[k0..k1].iter().filter(|c| c.prelude).count();
             let k_after = k0 + chunks.len();
+            self.deps.splice(d0, d1, m);
             if self.chunks.is_empty() {
                 // The empty document (a full analysis): nothing to keep.
                 self.chunks = chunks;
                 self.decls = decls;
-                self.deps = vec![Vec::new(); m];
                 self.keys = vec![0; m];
                 self.wave_of = vec![0; m];
             } else {
                 self.chunks.splice(k0..k1, chunks);
                 self.decls.splice(d0..d1, decls);
-                self.deps
-                    .splice(d0..d1, std::iter::repeat_with(Vec::new).take(m));
                 self.keys.splice(d0..d1, std::iter::repeat_n(0, m));
                 self.wave_of.splice(d0..d1, std::iter::repeat_n(0, m));
             }
@@ -869,13 +966,15 @@ impl Analysis {
             for c in &mut self.chunks[k_after..] {
                 c.first_decl = c.first_decl.wrapping_add(by);
             }
-            for t in self.deps[d0 + m..].iter_mut().flatten() {
-                if *t >= d1 {
-                    *t = t.wrapping_add(by);
-                } else if *t >= d0 {
-                    *t = GONE;
+            self.deps.renumber_from(d0 + m, |t| {
+                if t >= d1 {
+                    t.wrapping_add(by)
+                } else if t >= d0 {
+                    GONE
+                } else {
+                    t
                 }
-            }
+            });
             let mut rekeyed = vec![false; self.decls.len()];
             rekeyed[d0..d0 + m].fill(true);
             (m, k_after, rekeyed)
@@ -948,34 +1047,40 @@ impl Analysis {
                 .filter(|&j| j != GONE)
         };
         let is_moved = |v: &Var| v.symbol().is_some_and(|x| moved.contains(&x));
+        // One buffer for every re-resolved binding's dependencies.
+        let mut ds: Vec<usize> = Vec::new();
         for (i, rekey) in rekeyed.iter_mut().enumerate().take(end).skip(d0) {
             // The free variables are read only when needed: they sit
             // behind the parse cache's `Arc`.
             let fv = || self.decls[i].free_vars();
             if *rekey {
-                let mut ds: Vec<usize> = fv().iter().filter_map(|v| resolve(&latest, v)).collect();
+                ds.clear();
+                ds.extend(fv().iter().filter_map(|v| resolve(&latest, v)));
                 ds.sort_unstable();
                 ds.dedup();
-                self.deps[i] = ds;
+                self.deps.set(i, &ds);
             } else if !moved.is_empty() && fv().iter().any(is_moved) {
-                let mut ds: Vec<usize> = self.deps[i]
-                    .iter()
-                    .copied()
-                    .filter(|&t| t != GONE && !moved.contains(&self.decls[t].name_sym()))
-                    .chain(
-                        fv().iter()
-                            .filter(|v| is_moved(v))
-                            .filter_map(|v| resolve(&latest, v)),
-                    )
-                    .collect();
+                ds.clear();
+                ds.extend(
+                    self.deps
+                        .get(i)
+                        .iter()
+                        .copied()
+                        .filter(|&t| t != GONE && !moved.contains(&self.decls[t].name_sym()))
+                        .chain(
+                            fv().iter()
+                                .filter(|v| is_moved(v))
+                                .filter_map(|v| resolve(&latest, v)),
+                        ),
+                );
                 ds.sort_unstable();
                 ds.dedup();
-                if ds != self.deps[i] {
-                    self.deps[i] = ds;
+                if ds != self.deps.get(i) {
+                    self.deps.set(i, &ds);
                     *rekey = true;
                 }
             }
-            debug_assert!(!self.deps[i].contains(&GONE), "binding {i} re-resolved");
+            debug_assert!(!self.deps.get(i).contains(&GONE), "binding {i} re-resolved");
             let name = self.decls[i].name_sym();
             if every {
                 latest.insert(name, i);
@@ -993,11 +1098,11 @@ impl Analysis {
         // Dependencies point backwards, so one forward pass sees every
         // dependency's final wave and key before its dependents.
         for i in if flipped { 0 } else { d0 }..n {
-            if !(flipped || rekeyed[i] || self.deps[i].iter().any(|&d| rekeyed[d])) {
+            let deps = self.deps.get(i);
+            if !(flipped || rekeyed[i] || deps.iter().any(|&d| rekeyed[d])) {
                 continue;
             }
             rekeyed[i] = true;
-            let deps = &self.deps[i];
             let w = deps.iter().map(|&d| self.wave_of[d] + 1).max().unwrap_or(0);
             regroup |= w != self.wave_of[i];
             self.wave_of[i] = w;
@@ -1023,7 +1128,13 @@ impl Analysis {
                 self.waves.pop();
             }
         }
+        self.deps.compact();
         rekeyed
+    }
+
+    /// The indices of the declarations binding `i` depends on, ascending.
+    pub fn deps(&self, i: usize) -> &[usize] {
+        self.deps.get(i)
     }
 
     /// The transitive dependents of binding `i` (excluding `i` itself) —
@@ -1034,7 +1145,7 @@ impl Analysis {
         hit[i] = true;
         // deps point backwards, so one forward pass closes the set.
         for j in i + 1..n {
-            if self.deps[j].iter().any(|&d| hit[d]) {
+            if self.deps.get(j).iter().any(|&d| hit[d]) {
                 hit[j] = true;
             }
         }
@@ -1049,6 +1160,11 @@ mod tests {
 
     fn std_analysis(src: &str) -> Analysis {
         analyze(src, &Options::default(), EngineSel::Uf).unwrap()
+    }
+
+    /// Every binding's dependency list.
+    fn all_deps(a: &Analysis) -> Vec<Vec<usize>> {
+        (0..a.decls.len()).map(|i| a.deps(i).to_vec()).collect()
     }
 
     const DIAMOND: &str = "#use prelude\n\
@@ -1089,7 +1205,7 @@ mod tests {
              let g = fun y -> f y;;\n\
              let h = fun z -> h z;;\n",
         );
-        assert_eq!(a.deps, vec![vec![], vec![0], vec![]]);
+        assert_eq!(all_deps(&a), [vec![], vec![0], vec![]]);
         assert_eq!(a.waves, vec![vec![0, 2], vec![1]]);
     }
 
@@ -1134,7 +1250,8 @@ mod tests {
             }
             for (i, w) in wave_of.iter().enumerate() {
                 let w = w.unwrap_or_else(|| panic!("binding {i} in no wave"));
-                let want = a.deps[i]
+                let want = a
+                    .deps(i)
                     .iter()
                     .map(|&d| wave_of[d].unwrap() + 1)
                     .max()
@@ -1372,7 +1489,7 @@ mod tests {
         let a = analyze_cached(&mut fe, src, &opts, EngineSel::Uf).unwrap();
         assert_eq!(a.decls.len(), 3);
         assert_ne!(a.decls[0].span, a.decls[1].span, "spans are per-chunk");
-        assert_eq!(a.deps[2], vec![1], "y resolves to the shadowing x");
+        assert_eq!(a.deps(2), [1], "y resolves to the shadowing x");
         assert_cached_matches_plain(src);
     }
 
@@ -1389,7 +1506,7 @@ mod tests {
         };
         assert_eq!(names(got), names(want), "names: {ctx}");
         assert_eq!(spans(got), spans(want), "spans: {ctx}");
-        assert_eq!(got.deps, want.deps, "deps: {ctx}");
+        assert_eq!(all_deps(got), all_deps(want), "deps: {ctx}");
         assert_eq!(got.waves, want.waves, "waves: {ctx}");
         assert_eq!(got.keys, want.keys, "keys: {ctx}");
         assert_eq!(got.uses_prelude, want.uses_prelude, "#use: {ctx}");
@@ -1665,6 +1782,127 @@ mod tests {
             let mut good = old.to_string();
             step(&mut a, &mut good, &mut fe, new, new);
         }
+    }
+
+    // ------------------------------------------------ error precedence
+
+    /// The error a chunk-by-chunk front end owes a text: split it at every
+    /// `;;` outside a `--` comment (by a byte loop of its own), parse each
+    /// chunk as a whole program, and keep the first failure, at its
+    /// absolute position.
+    fn first_chunk_error(src: &str) -> Option<(String, usize)> {
+        let b = src.as_bytes();
+        let mut ends = Vec::new();
+        let mut i = 0;
+        while i < b.len() {
+            if b[i..].starts_with(b"--") {
+                while i < b.len() && b[i] != b'\n' {
+                    i += 1;
+                }
+            } else if b[i..].starts_with(b";;") {
+                i += 2;
+                ends.push(i);
+            } else {
+                i += 1;
+            }
+        }
+        ends.push(b.len());
+        let mut start = 0;
+        for end in ends {
+            if let Err(e) = freezeml_core::parse_program(&src[start..end]) {
+                return Some((e.msg, start + e.pos));
+            }
+            start = end;
+        }
+        None
+    }
+
+    #[test]
+    fn the_first_failing_chunk_reports_its_error() {
+        // A lex error in a later chunk does not outrank a parse error in
+        // an earlier one, as it does when the whole text is lexed first.
+        let src = "let a = ;;\nlet b = é;;";
+        let want = first_chunk_error(src).map(|(_, pos)| pos);
+        assert_eq!(want, Some(8));
+        let cold = analyze_cached(
+            &mut Frontend::default(),
+            src,
+            &Options::default(),
+            EngineSel::Uf,
+        );
+        assert_eq!(cold.unwrap_err().pos, 8);
+        assert_eq!(
+            analyze(src, &Options::default(), EngineSel::Uf)
+                .unwrap_err()
+                .pos,
+            19
+        );
+    }
+
+    /// Single-byte mutations of generated programs and of the Figure 1
+    /// corpus: a cold chunked analysis and a patch from the unmutated
+    /// text both answer the first failing chunk's error, message and
+    /// position, or no error when every chunk parses.
+    #[test]
+    fn mutants_report_the_first_failing_chunks_error() {
+        let opts = Options::default();
+        let mut bases: Vec<String> = [(40, 1), (25, 9)]
+            .iter()
+            .map(|&(n, seed)| GenProgram::generate(n, seed).text())
+            .collect();
+        let mut figure1 = String::from("#use prelude\n-- Figure 1 ;; as one program\n");
+        for (i, e) in freezeml_corpus::EXAMPLES.iter().enumerate() {
+            figure1.push_str(&format!("let fig{i} = {};;\n", e.src));
+        }
+        bases.push(figure1);
+        let mut rng = Rng(0xE770_0000);
+        let (mut mutants, mut failing) = (0, 0);
+        for base in &bases {
+            let mut fe = Frontend::default();
+            let a = analyze_cached(&mut fe, base, &opts, EngineSel::Uf).expect("bases parse");
+            for _ in 0..150 {
+                let mut at = rng.below(base.len() + 1);
+                while !base.is_char_boundary(at) {
+                    at -= 1;
+                }
+                let mutant = match rng.below(7) {
+                    0 => {
+                        let width = base[at..].chars().next().map_or(0, char::len_utf8);
+                        format!("{}{}", &base[..at], &base[at + width..])
+                    }
+                    k => {
+                        let byte = [";", "-", "(", "#", "é", "\n"][k - 1];
+                        format!("{}{byte}{}", &base[..at], &base[at..])
+                    }
+                };
+                let want = first_chunk_error(&mutant);
+                let cold = analyze_cached(&mut Frontend::default(), &mutant, &opts, EngineSel::Uf);
+                assert_eq!(
+                    cold.err().map(|e| (e.msg, e.pos)),
+                    want,
+                    "cold analysis of {mutant:?}"
+                );
+                let mut patched = a.clone();
+                let patch = patched.patch(
+                    base,
+                    &mutant,
+                    || &mut fe,
+                    &Tracer::off(),
+                    TraceCtx::default(),
+                );
+                assert_eq!(
+                    patch.err().map(|e| (e.msg, e.pos)),
+                    want,
+                    "patch to {mutant:?}"
+                );
+                mutants += 1;
+                failing += usize::from(want.is_some());
+            }
+        }
+        assert!(
+            failing * 3 > mutants && failing < mutants,
+            "{failing} of {mutants} mutants fail to parse"
+        );
     }
 
     #[test]

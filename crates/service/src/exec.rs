@@ -135,7 +135,7 @@ impl Executor {
                 // O(DAG) import/export crossings contend per shard only.
                 match self
                     .session(use_prelude)
-                    .infer_scheme_with(bank, deps, &term)
+                    .infer_scheme_with(bank, deps, term)
                 {
                     Ok(out) => Outcome::Typed {
                         id: out.scheme,
@@ -150,18 +150,18 @@ impl Executor {
             }
             EngineSel::Core => {
                 let env = self.dep_tree_env(bank, use_prelude, deps);
-                let r = freezeml_core::infer_term(&env, &term, &self.opts);
+                let r = freezeml_core::infer_term(&env, term, &self.opts);
                 outcome_of(bank, r.map(|o| o.ty))
             }
             EngineSel::Both => {
                 let dep_env: Vec<(Var, Type)> =
                     deps.iter().map(|(x, s)| (*x, bank.to_type(*s))).collect();
-                let uf = self.session(use_prelude).infer_with(&dep_env, &term);
+                let uf = self.session(use_prelude).infer_with(&dep_env, term);
                 let mut env = self.env(use_prelude).clone();
                 for (x, t) in &dep_env {
                     env.push(*x, t.clone());
                 }
-                let core = freezeml_core::infer_term(&env, &term, &self.opts);
+                let core = freezeml_core::infer_term(&env, term, &self.opts);
                 match (core, uf) {
                     (Ok(c), Ok(u)) if types_equivalent(&c.ty, &u.ty) => outcome_of(bank, Ok(c.ty)),
                     (Err(ce), Err(ue)) if class_of(&ce) == class_of(&ue) => {
@@ -377,7 +377,7 @@ impl<'a> Reuse<'a> {
         let rekeyed = |i| self.patch.is_some_and(|p| p.rekeyed(i));
         if let Some(first) = (0..n).find(|&i| slots[i] != CLEAN && !rekeyed(i)) {
             for i in first + 1..n {
-                if slots[i] == CLEAN && a.deps[i].iter().any(|&d| slots[d] != CLEAN) {
+                if slots[i] == CLEAN && a.deps(i).iter().any(|&d| slots[d] != CLEAN) {
                     slots[i] = 0;
                 }
             }
@@ -535,7 +535,8 @@ impl Executor {
                     Some(o) => o.as_ref(),
                     None => reuse.and_then(|r| r.kept(d)).map(|b| &b.outcome),
                 };
-                if let Some(&bad) = a.deps[i]
+                if let Some(&bad) = a
+                    .deps(i)
                     .iter()
                     .find(|&&d| !settled(d).is_some_and(Outcome::is_typed))
                 {
@@ -551,7 +552,8 @@ impl Executor {
                     probe_hits += 1;
                     continue;
                 }
-                let dep_env: Vec<(Var, SchemeId)> = a.deps[i]
+                let dep_env: Vec<(Var, SchemeId)> = a
+                    .deps(i)
                     .iter()
                     .map(|&d| {
                         let Some(Outcome::Typed { id, .. }) = settled(d) else {

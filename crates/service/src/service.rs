@@ -90,7 +90,7 @@ impl std::error::Error for ServiceError {}
 /// An open document. Its analysis and report are the base the next
 /// `open`, `edit` or `check` of it patches and reuses.
 struct Document {
-    /// The last text given that parsed — or, while none has, the first
+    /// The last text given that parsed — or, while none has, the last
     /// text given.
     text: String,
     /// The analysis of `text`, or of the empty document while `error` is
@@ -274,13 +274,17 @@ impl Service {
             Ok(patch) => patch,
             Err(e) => {
                 // Last-good-state serving: a text that does not parse
-                // leaves the document as it was, so `check`/`type-of`
-                // keep answering from its last good text. A new document
-                // is recorded with the text and its error, so a
-                // follow-up `edit` is legal.
+                // leaves a document with a good text as it was, so
+                // `check`/`type-of` keep answering from that text. A
+                // document without one (a new one included) takes the
+                // text and its error: a follow-up `edit` is legal, and
+                // `check` answers the latest error.
+                if new || entry.error.is_some() {
+                    entry.text.clear();
+                    entry.text.push_str(text);
+                    entry.error = Some(e.clone());
+                }
                 if new {
-                    fresh.text = text.to_string();
-                    fresh.error = Some(e.clone());
                     self.docs.insert(doc.to_string(), fresh);
                 }
                 return Err(ServiceError::Parse(e));
@@ -457,7 +461,7 @@ impl Service {
             freezeml_core::TypeEnv::new()
         };
         let bank = self.shared.bank();
-        for &d in &a.deps[i] {
+        for &d in a.deps(i) {
             must_be_typed(d)?;
             let Outcome::Typed { id, .. } = &report.bindings[d].outcome else {
                 unreachable!("checked typed above")
@@ -469,7 +473,7 @@ impl Service {
         }
         let term = a.decls[i].probe_term();
         let elab = |e: ElabEngine| {
-            check_sound(e, &env, &term, &self.cfg.opts).map_err(ServiceError::Elaborate)
+            check_sound(e, &env, term, &self.cfg.opts).map_err(ServiceError::Elaborate)
         };
         let checked = match self.cfg.engine {
             EngineSel::Core => elab(ElabEngine::Core)?,
@@ -675,6 +679,26 @@ mod tests {
         // The document stays open; a fixed edit works.
         let r = s.edit("d", "let x = 3;;").unwrap();
         assert!(r.all_typed());
+    }
+
+    /// A document none of whose texts has parsed answers its latest
+    /// text's error, not its first.
+    #[test]
+    fn a_never_parsed_document_answers_its_latest_error() {
+        let mut s = svc(EngineSel::Uf);
+        let first = s.open("d", "let x = ;;").unwrap_err();
+        let text = "let a = 1;;\nlet y = ;;";
+        let latest = s.open("d", text).unwrap_err();
+        let pos = |e: &ServiceError| match e {
+            ServiceError::Parse(p) => p.pos,
+            other => panic!("not a parse error: {other:?}"),
+        };
+        assert_eq!((pos(&first), pos(&latest)), (8, 20));
+        assert_eq!(s.text("d"), Some(text));
+        assert_eq!(s.check("d").unwrap_err(), latest);
+        // An edit that fails too moves the error again.
+        let e = s.edit("d", "let é = 1;;").unwrap_err();
+        assert_eq!((pos(&e), s.check("d").unwrap_err()), (4, e));
     }
 
     #[test]

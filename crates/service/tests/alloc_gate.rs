@@ -5,7 +5,9 @@
 //!   constant number of times — not per binding;
 //! * a warm `edit` of one leaf literal binding allocates, looks up parse
 //!   chunks and probes verdicts in proportion to the edit, not to the
-//!   document.
+//!   document;
+//! * analysing the document allocates a bounded number of times per
+//!   chunk, into an empty parse cache and into a warm one.
 //!
 //! The counts are deterministic, so unlike a timer they hold on any
 //! host.
@@ -15,7 +17,9 @@
 //! allocations.
 
 use freezeml_core::Options;
-use freezeml_service::{handle_line, EngineSel, GenProgram, Service, ServiceConfig};
+use freezeml_service::{
+    analyze_cached, handle_line, EngineSel, Frontend, GenProgram, Service, ServiceConfig,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -177,5 +181,49 @@ fn a_warm_leaf_edit_costs_what_the_edit_touches() {
     assert!(
         p <= MAX_EDIT_PROBES,
         "a leaf edit probed {p} verdicts (gate: ≤ {MAX_EDIT_PROBES})"
+    );
+}
+
+/// The front-end gates, on the same document. Before a missed chunk was
+/// parsed straight from a reused token buffer (with a `Program`, a token
+/// `Vec`, a slice `String` and a free-variable hash set per chunk, and a
+/// dependency `Vec` per binding), the cold analysis made 20 101
+/// allocations and the warm one 1 541; since, they make 12 691 and 118.
+/// The cold gate sits below the old count, the warm gate at it.
+const MAX_COLD_ANALYSIS_ALLOCS: u64 = 14_000;
+const MAX_WARM_ANALYSIS_ALLOCS: u64 = 1_541;
+
+#[test]
+fn analysing_a_document_allocates_a_bounded_number_of_times_per_chunk() {
+    const N: usize = 2000;
+    let text = GenProgram::generate(N, 0).text();
+    let opts = Options::default();
+    let analyse = |fe: &mut Frontend| {
+        analyze_cached(fe, &text, &opts, EngineSel::Uf).expect("generated program parses")
+    };
+    // Intern every name first: the process-wide symbol table is shared
+    // with the other tests, so whether this thread interns a name is up
+    // to the order they run in.
+    analyse(&mut Frontend::default());
+    let mut fe = Frontend::default();
+    let mut cold = None;
+    let n_cold = allocations(|| cold = Some(analyse(&mut fe)));
+    let mut warm = None;
+    let n_warm = allocations(|| warm = Some(analyse(&mut fe)));
+    assert_eq!(
+        fe.parse_misses(),
+        N as u64,
+        "the cold pass parsed every chunk"
+    );
+    assert_eq!(fe.parse_hits(), N as u64, "the warm pass parsed none");
+    let (cold, warm) = (cold.expect("ran"), warm.expect("ran"));
+    assert_eq!(cold.keys, warm.keys);
+    assert!(
+        n_cold <= MAX_COLD_ANALYSIS_ALLOCS,
+        "a cold analysis of {N} bindings made {n_cold} allocations (gate: ≤ {MAX_COLD_ANALYSIS_ALLOCS})"
+    );
+    assert!(
+        n_warm <= MAX_WARM_ANALYSIS_ALLOCS,
+        "a warm analysis of {N} bindings made {n_warm} allocations (gate: ≤ {MAX_WARM_ANALYSIS_ALLOCS})"
     );
 }

@@ -14,13 +14,14 @@
 //!   assertions in `crates/service/tests/throughput.rs`);
 //! * `service/proto/warm-edit/<n>` — the same edit sent as a protocol
 //!   line, in process: the client's request encoding and `handle_line`
-//!   (decode, edit, and the report written into a reused buffer), with
-//!   no socket and no sleeps. Against `service/warm-edit/<n>` it prices
-//!   the protocol boundary;
+//!   (decode, edit, and the report written into a reused buffer from
+//!   the document's kept answer, patched where the edit changed it),
+//!   with no socket and no sleeps. Against `service/warm-edit/<n>` it
+//!   prices the protocol boundary;
 //! * `service/proto/check/<n>` — a `check` line on an unchanged
-//!   document: the check pass finds nothing dirty and shares the
-//!   document's stored verdicts, so the row is almost all report
-//!   writing;
+//!   document: the check pass finds nothing dirty and keeps the
+//!   document's stored verdicts, so the row is almost all copying the
+//!   kept answer into the buffer;
 //! * `service/proto/decode/<64K|1M>` — an `edit` line of that many
 //!   bytes of program text for a document that is not open: decoding
 //!   the line is the work, the answer is a short error;

@@ -50,6 +50,7 @@ pub mod options;
 pub mod parser;
 pub mod pretty;
 pub mod program;
+pub mod scan;
 pub mod scope;
 pub mod subst;
 pub mod symbol;

@@ -38,6 +38,7 @@
 //! ```
 
 use crate::names::Var;
+use crate::scan;
 use crate::symbol::Symbol;
 use crate::term::Term;
 use crate::types::Type;
@@ -71,15 +72,16 @@ pub struct LineIndex {
 }
 
 impl LineIndex {
-    /// Index the newlines of `src`.
+    /// Index the newlines of `src`, found eight bytes at a time
+    /// ([`scan::find_newline`]).
     pub fn new(src: &str) -> LineIndex {
-        LineIndex {
-            newlines: src
-                .bytes()
-                .enumerate()
-                .filter_map(|(i, b)| (b == b'\n').then_some(i))
-                .collect(),
+        let mut newlines = Vec::new();
+        let mut at = 0;
+        while let Some(k) = scan::find_newline(&src.as_bytes()[at..]) {
+            newlines.push(at + k);
+            at += k + 1;
         }
+        LineIndex { newlines }
     }
 
     /// The `line:col` (both 1-based) of byte `offset`. The line counts
@@ -87,7 +89,33 @@ impl LineIndex {
     /// last of them (a `\r` before a `\n` is an ordinary byte). An
     /// offset past the end of the source lies on its last line.
     pub fn line_col(&self, offset: usize) -> (usize, usize) {
-        let before = self.newlines.partition_point(|&nl| nl < offset);
+        self.locate(self.newlines.partition_point(|&nl| nl < offset), offset)
+    }
+
+    /// The [`LineIndex::line_col`] of each of `offsets`. Offsets that
+    /// ascend, as a program's declarations do, are located in one walk
+    /// along the index; an offset before the one preceding it is
+    /// searched for.
+    pub fn line_cols<'a, I>(&'a self, offsets: I) -> impl Iterator<Item = (usize, usize)> + 'a
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: 'a,
+    {
+        let nl = &self.newlines;
+        let mut before = 0;
+        offsets.into_iter().map(move |offset| {
+            if before > 0 && nl[before - 1] >= offset {
+                before = nl[..before].partition_point(|&n| n < offset);
+            }
+            while nl.get(before).is_some_and(|&n| n < offset) {
+                before += 1;
+            }
+            self.locate(before, offset)
+        })
+    }
+
+    /// The `line:col` of `offset`, which follows `before` newlines.
+    fn locate(&self, before: usize, offset: usize) -> (usize, usize) {
         let col = match before {
             0 => offset + 1,
             k => offset - self.newlines[k - 1],
@@ -353,6 +381,13 @@ mod tests {
         }
         for src in &sources {
             let index = LineIndex::new(src);
+            let offsets: Vec<usize> = (0..=src.len() + 3).collect();
+            let mut expected = offsets.iter().map(|&o| rescan_line_col(src, o));
+            assert!(index.line_cols(offsets.iter().copied()).eq(&mut expected));
+            // Offsets that jump back and forth.
+            let jumps = offsets.iter().rev().chain(&offsets).step_by(3).copied();
+            let mut expected = jumps.clone().map(|o| rescan_line_col(src, o));
+            assert!(index.line_cols(jumps).eq(&mut expected), "{src:?}");
             for offset in 0..=src.len() + 3 {
                 assert_eq!(
                     index.line_col(offset),

@@ -27,5 +27,5 @@ pub mod runner;
 pub mod table1;
 
 pub use figure1::{Example, Expected, Mode, EXAMPLES};
-pub use prelude::figure2;
+pub use prelude::{figure2, figure2_shared};
 pub use runner::{run_all, run_example, ExampleResult};

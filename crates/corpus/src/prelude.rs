@@ -7,6 +7,7 @@
 //! are small additions beyond Figure 2, noted in `DESIGN.md`.
 
 use freezeml_core::TypeEnv;
+use std::sync::OnceLock;
 
 /// Alias used by the Table 1 harness.
 pub type TypeEnvAlias = TypeEnv;
@@ -52,6 +53,14 @@ pub fn figure2() -> TypeEnv {
             .unwrap_or_else(|e| panic!("bad prelude signature {name}: {e}"));
     }
     env
+}
+
+/// The Figure 2 prelude environment, parsed once per process: callers
+/// that need it on every request clone it instead of parsing the
+/// signatures again.
+pub fn figure2_shared() -> &'static TypeEnv {
+    static ENV: OnceLock<TypeEnv> = OnceLock::new();
+    ENV.get_or_init(figure2)
 }
 
 #[cfg(test)]

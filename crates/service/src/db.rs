@@ -584,6 +584,12 @@ impl Patch {
         self.rekeyed[i]
     }
 
+    /// Does every binding have the index it had before the patch? Then
+    /// the patch replaced as many declarations as it removed.
+    pub(crate) fn keeps_indices(&self) -> bool {
+        self.at == self.old_at
+    }
+
     /// The index binding `i` had before the patch, unless it was
     /// re-keyed.
     pub(crate) fn origin(&self, i: usize) -> Option<usize> {

@@ -23,7 +23,10 @@
 //! full pass over the same hub: reused when typed or an error, blocked
 //! when blocked. A full pass is the case where every binding is dirty; a
 //! `check` is the case where nothing was re-keyed, and when nothing is
-//! dirty either it shares the previous verdicts instead of copying them.
+//! dirty either it keeps the previous verdicts as they are. When every
+//! binding keeps its index and nobody else holds the previous verdicts,
+//! the pass overwrites the dirty ones in place and moves the spans;
+//! otherwise it builds a new slice.
 //!
 //! Checking a binding `let x (: A)? = M;;` infers the probe term
 //! `let x (: A)? = M in ⌈x⌉`, so the scheme is produced by the paper's
@@ -35,7 +38,7 @@ use crate::db::{Analysis, DeclInfo, EngineSel, Outcome, Patch};
 use crate::fault::{self, Fault};
 use crate::shared::Shared;
 use crate::sync::Arc;
-use freezeml_core::{Options, Span, Type, TypeEnv, Var};
+use freezeml_core::{Options, Span, Symbol, Type, TypeEnv, Var};
 use freezeml_engine::differential::{class_of, types_equivalent};
 use freezeml_engine::{SchemeBank, SchemeId, Session};
 use freezeml_obs::{NoTrace, Record, TraceCtx, TraceSink, Val};
@@ -76,7 +79,7 @@ impl Executor {
 
     fn base_env(use_prelude: bool) -> TypeEnv {
         if use_prelude {
-            freezeml_corpus::figure2()
+            freezeml_corpus::figure2_shared().clone()
         } else {
             TypeEnv::new()
         }
@@ -304,9 +307,9 @@ pub struct BindingReport {
 /// The result of one check pass over a program.
 #[derive(Clone, Debug)]
 pub struct CheckReport {
-    /// Per-binding verdicts, in declaration order. The slice is shared:
-    /// a `check` that changes no verdict answers with the previous
-    /// report's slice, and every clone of the report points at it too.
+    /// Per-binding verdicts, in declaration order. Every clone of the
+    /// report points at the same slice; a pass that reuses an unshared
+    /// slice patches it in place.
     pub bindings: Arc<[BindingReport]>,
     /// Bindings actually re-inferred this pass (cache misses).
     pub rechecked: usize,
@@ -328,9 +331,15 @@ impl CheckReport {
     }
 
     /// The latest binding of the given name (ML shadowing: the visible
-    /// one at the end of the program).
+    /// one at the end of the program). Binding names are interned, so a
+    /// name never interned names no binding, and an interned one is found
+    /// by its address, without reading every binding's name.
     pub fn binding(&self, name: &str) -> Option<&BindingReport> {
-        self.bindings.iter().rev().find(|b| b.name == name)
+        let name = Symbol::lookup(name)?.as_str();
+        self.bindings
+            .iter()
+            .rev()
+            .find(|b| std::ptr::eq(b.name, name))
     }
 }
 
@@ -341,13 +350,29 @@ impl CheckReport {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeadlineExceeded;
 
-/// What a pass may reuse: the document's previous report, and the patch
-/// that brought the analysis from that report's text to its own —
-/// `None` when the text did not change (a `check`).
-#[derive(Clone, Copy)]
-pub(crate) struct Reuse<'a> {
-    pub(crate) report: &'a CheckReport,
+/// What a pass may reuse: the document's previous report, which the pass
+/// spends, and the patch that brought the analysis from that report's
+/// text to its own — `None` when the text did not change (a `check`).
+pub(crate) struct Base<'a> {
+    pub(crate) report: CheckReport,
     pub(crate) patch: Option<&'a Patch>,
+}
+
+/// The result of [`Executor::run_reusing`]: the report, and which of its
+/// verdicts the pass computed.
+pub(crate) struct Pass {
+    pub(crate) report: CheckReport,
+    /// The bindings whose verdicts this pass computed, ascending, when
+    /// every binding has the index it had in the base report. `None`
+    /// after a full pass, or when bindings moved.
+    pub(crate) fresh: Option<Vec<usize>>,
+}
+
+/// The base report's verdicts, borrowed while the pass reads them.
+#[derive(Clone, Copy)]
+struct Reuse<'a> {
+    bindings: &'a [BindingReport],
+    patch: Option<&'a Patch>,
 }
 
 impl<'a> Reuse<'a> {
@@ -368,7 +393,7 @@ impl<'a> Reuse<'a> {
         // First mark the dirty bindings (any value but `CLEAN`)…
         let mut slots: Vec<u32> = (0..n)
             .map(|i| match self.origin(i) {
-                Some(o) if self.report.bindings[o].outcome.cacheable() => CLEAN,
+                Some(o) if self.bindings[o].outcome.cacheable() => CLEAN,
                 _ => 0,
             })
             .collect();
@@ -393,7 +418,7 @@ impl<'a> Reuse<'a> {
 
     /// The previous binding clean binding `i` keeps the verdict of.
     fn kept(self, i: usize) -> Option<&'a BindingReport> {
-        self.origin(i).map(|o| &self.report.bindings[o])
+        self.origin(i).map(|o| &self.bindings[o])
     }
 }
 
@@ -429,53 +454,64 @@ impl Executor {
         deadline: Option<Instant>,
     ) -> Result<CheckReport, DeadlineExceeded> {
         self.run_reusing(a, None, shared, ctx, deadline)
+            .map(|pass| pass.report)
     }
 
     /// A check pass over the dirty bindings of `a` (all of them without
-    /// `reuse`); the clean ones keep their previous verdicts. The body is
-    /// monomorphised over the sink ([`freezeml_obs::TraceSink`]'s
-    /// `ENABLED` const), so with tracing off it makes no clock reads and
-    /// builds no records: the `cache-probe`, `infer` and `wave` spans
-    /// compile away.
+    /// a `base`); the clean ones keep their verdicts from the base
+    /// report. The body is monomorphised over the sink
+    /// ([`freezeml_obs::TraceSink`]'s `ENABLED` const), so with tracing
+    /// off it makes no clock reads and builds no records: the
+    /// `cache-probe`, `infer` and `wave` spans compile away.
     pub(crate) fn run_reusing(
         &mut self,
         a: &Analysis,
-        reuse: Option<Reuse<'_>>,
+        base: Option<Base<'_>>,
         shared: &Shared,
         ctx: TraceCtx,
         deadline: Option<Instant>,
-    ) -> Result<CheckReport, DeadlineExceeded> {
+    ) -> Result<Pass, DeadlineExceeded> {
         match shared.tracer().sink() {
-            Some(sink) => self.run_sink(a, reuse, shared, ctx, &**sink, deadline),
-            None => self.run_sink(a, reuse, shared, ctx, &NoTrace, deadline),
+            Some(sink) => self.run_sink(a, base, shared, ctx, &**sink, deadline),
+            None => self.run_sink(a, base, shared, ctx, &NoTrace, deadline),
         }
     }
 
     fn run_sink<S: TraceSink>(
         &mut self,
         a: &Analysis,
-        reuse: Option<Reuse<'_>>,
+        base: Option<Base<'_>>,
         shared: &Shared,
         ctx: TraceCtx,
         sink: &S,
         deadline: Option<Instant>,
-    ) -> Result<CheckReport, DeadlineExceeded> {
+    ) -> Result<Pass, DeadlineExceeded> {
         // The same text, and every verdict may be served warm: nothing is
-        // dirty, so the previous verdicts stand, shared rather than
-        // copied, and count as a full pass over the same hub would count
-        // them.
-        let unchanged = |r: &Reuse| {
-            r.patch.is_none() && r.report.bindings.iter().all(|b| b.outcome.cacheable())
+        // dirty, so the previous verdicts stand as they are, and count as
+        // a full pass over the same hub would count them.
+        let base = match base {
+            Some(Base {
+                report: prev,
+                patch: None,
+            }) if prev.bindings.iter().all(|b| b.outcome.cacheable()) => {
+                let report = CheckReport {
+                    rechecked: 0,
+                    reused: prev.rechecked + prev.reused,
+                    blocked: prev.blocked,
+                    waves: 0,
+                    bindings: prev.bindings,
+                };
+                return Ok(Pass {
+                    report,
+                    fresh: Some(Vec::new()),
+                });
+            }
+            base => base,
         };
-        if let Some(prev) = reuse.filter(unchanged).map(|r| r.report) {
-            return Ok(CheckReport {
-                bindings: Arc::clone(&prev.bindings),
-                rechecked: 0,
-                reused: prev.rechecked + prev.reused,
-                blocked: prev.blocked,
-                waves: 0,
-            });
-        }
+        let reuse = base.as_ref().map(|b| Reuse {
+            bindings: &b.report.bindings,
+            patch: b.patch,
+        });
         let n = a.decls.len();
         let bank = shared.bank();
         let cache = shared.cache();
@@ -619,35 +655,66 @@ impl Executor {
         metrics.verdict_hits.add(probe_hits as u64);
         metrics.verdict_misses.add(rechecked as u64);
 
-        let bindings = (0..n)
-            .map(|i| {
-                let span = a.decls[i].span;
-                if let Some(o) = outcomes.get_mut(slot(i)).and_then(Option::take) {
-                    return BindingReport {
-                        name: a.decls[i].name(),
-                        span,
-                        outcome: o,
-                    };
+        // A clean binding keeps its previous verdict, and counts as a full
+        // pass over the same hub would count it.
+        let mut count_kept = |o: &Outcome| match o {
+            Outcome::Blocked { .. } => blocked += 1,
+            _ => reused += 1,
+        };
+        let patch = base.as_ref().and_then(|b| b.patch);
+        let keeps_indices = base.is_some() && patch.is_none_or(Patch::keeps_indices);
+        // The dirty bindings are the ones with a fresh verdict.
+        let fresh = keeps_indices.then(|| (0..n).filter(|&i| is_dirty(i)).collect());
+        let mut prev = base.map(|b| b.report.bindings);
+        // When every binding keeps its index and nobody else holds the
+        // base's slice, overwrite the fresh verdicts and move the spans in
+        // place; otherwise build a new slice.
+        let bindings = match prev
+            .as_mut()
+            .filter(|_| keeps_indices)
+            .and_then(Arc::get_mut)
+        {
+            Some(slice) => {
+                for (i, (b, d)) in slice.iter_mut().zip(&a.decls).enumerate() {
+                    b.span = d.span;
+                    match outcomes.get_mut(slot(i)).and_then(Option::take) {
+                        Some(o) => (b.name, b.outcome) = (d.name(), o),
+                        None => count_kept(&b.outcome),
+                    }
                 }
-                let old = reuse
-                    .and_then(|r| r.kept(i))
-                    .unwrap_or_else(|| unreachable!("a binding is dirty or keeps its verdict"));
-                match old.outcome {
-                    Outcome::Blocked { .. } => blocked += 1,
-                    _ => reused += 1,
-                }
-                BindingReport {
-                    span,
-                    ..old.clone()
-                }
-            })
-            .collect();
-        Ok(CheckReport {
-            bindings,
-            rechecked,
-            reused,
-            blocked,
-            waves,
+                // lint: allow(unwrap) — `slice` was borrowed from it
+                prev.expect("patched in place")
+            }
+            None => {
+                let reuse = prev.as_deref().map(|bindings| Reuse { bindings, patch });
+                (a.decls.iter().enumerate())
+                    .map(|(i, d)| {
+                        let computed = outcomes.get_mut(slot(i)).and_then(Option::take);
+                        let outcome = computed.unwrap_or_else(|| {
+                            let old = reuse.and_then(|r| r.kept(i)).unwrap_or_else(|| {
+                                unreachable!("a binding is dirty or keeps its verdict")
+                            });
+                            count_kept(&old.outcome);
+                            old.outcome.clone()
+                        });
+                        BindingReport {
+                            name: d.name(),
+                            span: d.span,
+                            outcome,
+                        }
+                    })
+                    .collect()
+            }
+        };
+        Ok(Pass {
+            report: CheckReport {
+                bindings,
+                rechecked,
+                reused,
+                blocked,
+                waves,
+            },
+            fresh,
         })
     }
 }
@@ -759,13 +826,15 @@ mod tests {
         let mut exec = Executor::new(1, Options::default(), EngineSel::Uf);
         let cold = exec.run(&a, &shared);
         let pass = exec.run(&a, &shared);
-        let reuse = Reuse {
-            report: &cold,
+        let base = Base {
+            report: cold.clone(),
             patch: None,
         };
         let warm = exec
-            .run_reusing(&a, Some(reuse), &shared, TraceCtx::default(), None)
+            .run_reusing(&a, Some(base), &shared, TraceCtx::default(), None)
             .unwrap();
+        assert_eq!(warm.fresh, Some(vec![]), "no verdict recomputed");
+        let warm = warm.report;
         assert!(Arc::ptr_eq(&warm.bindings, &cold.bindings), "not copied");
         assert_eq!(
             (warm.rechecked, warm.reused, warm.blocked, warm.waves),
@@ -779,6 +848,68 @@ mod tests {
                 .collect()
         };
         assert_eq!(shown(&warm), shown(&pass));
+    }
+
+    /// An edit that keeps every binding's index patches the base's slice
+    /// in place when nobody else holds it, and builds a new one when
+    /// somebody does; either way it names the bindings it recomputed.
+    /// An edit that moves bindings names none.
+    #[test]
+    fn an_edit_that_keeps_indices_patches_the_report_in_place() {
+        let text = "#use prelude\nlet a = 1;;\nlet b = plus a 1;;\nlet c = 7;;\n";
+        let edited = "#use prelude\nlet a = 1;;\n\nlet b = plus a 12;;\nlet c = 7;;\n";
+        let opts = Options::default();
+        let shared = Shared::new();
+        let mut exec = Executor::new(1, opts, EngineSel::Uf);
+        let fe = || shared.frontend();
+        let tracer = freezeml_obs::Tracer::off();
+        let ctx = TraceCtx::default();
+        let mut a = Analysis::empty(&opts, EngineSel::Uf);
+        a.patch("", text, fe, &tracer, ctx).unwrap();
+        let cold = exec.run(&a, &shared);
+        for shared_slice in [false, true] {
+            let mut b = a.clone();
+            let patch = b.patch(text, edited, fe, &tracer, ctx).unwrap();
+            let held = cold.clone();
+            let base = Base {
+                report: if shared_slice {
+                    held.clone()
+                } else {
+                    CheckReport {
+                        bindings: held.bindings.iter().cloned().collect(),
+                        ..held.clone()
+                    }
+                },
+                patch: Some(&patch),
+            };
+            let slice = Arc::as_ptr(&base.report.bindings);
+            let pass = exec
+                .run_reusing(&b, Some(base), &shared, ctx, None)
+                .unwrap();
+            assert_eq!(pass.fresh, Some(vec![1]), "b is the only fresh verdict");
+            let same = std::ptr::addr_eq(Arc::as_ptr(&pass.report.bindings), slice);
+            assert_eq!(same, !shared_slice, "patched in place unless shared");
+            let full = exec.run(&b, &shared);
+            for (got, want) in pass.report.bindings.iter().zip(full.bindings.iter()) {
+                assert_eq!(
+                    (got.name, got.span, got.outcome.display()),
+                    (want.name, want.span, want.outcome.display())
+                );
+            }
+            let r = &pass.report;
+            assert_eq!((r.rechecked + r.reused, r.blocked), (3, 0));
+        }
+        let mut b = a.clone();
+        let moved = "#use prelude\nlet a = 1;;\nlet z = 2;;\nlet b = plus a 1;;\nlet c = 7;;\n";
+        let patch = b.patch(text, moved, fe, &tracer, ctx).unwrap();
+        let base = Base {
+            report: cold,
+            patch: Some(&patch),
+        };
+        let pass = exec
+            .run_reusing(&b, Some(base), &shared, ctx, None)
+            .unwrap();
+        assert_eq!(pass.fresh, None, "bindings moved");
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod hash;
 pub mod load;
 pub mod persist;
 pub mod protocol;
+mod scan;
 pub mod server;
 pub mod service;
 pub mod shared;

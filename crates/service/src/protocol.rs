@@ -48,11 +48,24 @@
 //!
 //! Every answer is appended to the caller's buffer ([`handle_line`]).
 //! Reports, the one answer that grows with the document, are written
-//! straight from the stored verdicts by [`write_report`]; the small
-//! answers are built as a [`Json`] value and encoded with
-//! [`Json::write_to`].
+//! straight from the stored verdicts; the small answers are built as a
+//! [`Json`] value and encoded with [`Json::write_to`].
+//!
+//! A document keeps the bindings array of its last report answer: one
+//! string of per-binding fragments, with each fragment's end and
+//! position. After passes in which every binding kept its index, the
+//! next answer re-renders only the fragments of bindings that got a
+//! fresh verdict. When each comes out byte for byte the same and no
+//! binding moved line or column, as after a same-type edit, the kept
+//! body is the answer; a `check` that changed nothing sends it without
+//! looking at the text. Otherwise (a fragment that changed, a new
+//! document, a structural edit, a pass after a deadline) the array is
+//! rendered in full, as [`write_report`] does, and kept in place of the
+//! old one. A body is kept only up to the default request cap, 4 MiB.
 
-use crate::exec::CheckReport;
+use crate::exec::{BindingReport, CheckReport};
+use crate::scan::find_string_stop;
+use crate::server::DEFAULT_MAX_REQUEST_BYTES;
 use crate::service::{Service, ServiceError};
 use crate::stats;
 use freezeml_core::LineIndex;
@@ -144,7 +157,7 @@ impl Json {
             // JSON has no NaN/∞; the parser refuses to produce them, so
             // this arm only guards hand-built values.
             Json::Num(n) if !n.is_finite() => out.push_str("null"),
-            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => write_int(out, *n as i64),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < INT_BOUND => write_int(out, *n as i64),
             Json::Num(n) => {
                 // Writing into a `String` cannot fail.
                 let _ = write!(out, "{n}");
@@ -184,6 +197,10 @@ impl fmt::Display for Json {
     }
 }
 
+/// An integral number of smaller magnitude is written as an integer
+/// (every such `f64` is exact); the rest go through `f64`'s `Display`.
+const INT_BOUND: f64 = 9e15;
+
 /// Append the decimal digits of `n`. Reports carry two integers per
 /// binding, and this skips the formatting machinery `write!` runs.
 fn write_int(out: &mut String, n: i64) {
@@ -201,19 +218,27 @@ fn write_int(out: &mut String, n: i64) {
     if n < 0 {
         out.push('-');
     }
-    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+    // lint: allow(unwrap) — every byte of `digits[i..]` is an ASCII digit
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
-/// Append `s` as a JSON string literal. Every byte that needs an escape
-/// is ASCII, so the unescaped runs between them are whole characters.
+/// Append `s` as a JSON string literal.
 fn write_escaped(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
+    write_string_body(out, s);
+    out.push('"');
+}
+
+/// Append the inside of `s`'s JSON string literal, quotes excluded.
+/// Every byte that needs an escape is ASCII, so the unescaped runs
+/// between them are whole characters. The runs are found a word at a
+/// time, so a string that needs no escape is one scan and one copy.
+fn write_string_body(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
+    while let Some(k) = find_string_stop(&s.as_bytes()[run..]) {
+        let i = run + k;
+        let b = s.as_bytes()[i];
         out.push_str(&s[run..i]);
         match b {
             b'"' => out.push_str("\\\""),
@@ -230,7 +255,6 @@ fn write_escaped(out: &mut String, s: &str) {
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out.push('"');
 }
 
 /// A JSON parse failure.
@@ -386,10 +410,7 @@ impl JsonParser<'_> {
             // slice. Those stop bytes are ASCII, so the run ends on a
             // character boundary.
             let rest = &self.bytes[self.pos..];
-            let run = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(rest.len());
+            let run = find_string_stop(rest).unwrap_or(rest.len());
             out.push_str(&self.src[self.pos..self.pos + run]);
             self.pos += run;
             match self.bytes.get(self.pos) {
@@ -520,27 +541,42 @@ impl Request {
     /// A readable message (bad JSON, missing field, unknown command).
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = Json::parse(line).map_err(|e| e.to_string())?;
-        Request::from_json(&v)
+        Request::from_value(v)
     }
 
-    /// Interpret one parsed JSON value as a request — the element-wise
-    /// form `parse` and batched lines ([`handle_line`]) share.
+    /// Interpret one parsed JSON value as a request, copying its
+    /// strings (the server's own decode moves them out of the value
+    /// instead).
     ///
     /// # Errors
     ///
     /// A readable message (missing field, unknown command).
     pub fn from_json(v: &Json) -> Result<Request, String> {
-        let cmd = v
-            .get("cmd")
-            .and_then(Json::as_str)
-            .ok_or("missing string field `cmd`")?;
-        let field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{cmd}` needs a string field `{name}`"))
+        Request::from_value(v.clone())
+    }
+
+    /// Interpret one parsed JSON value as a request — the element-wise
+    /// form `parse` and batched lines ([`handle_line`]) share. The
+    /// request takes its strings out of the value, uncopied.
+    ///
+    /// # Errors
+    ///
+    /// A readable message (missing field, unknown command).
+    pub(crate) fn from_value(v: Json) -> Result<Request, String> {
+        let mut fields = match v {
+            Json::Obj(fields) => fields,
+            _ => Vec::new(),
         };
-        match cmd {
+        // The first field of the name, as `Json::get` finds it.
+        let mut take = |name: &str| match fields.iter_mut().find(|(k, _)| k == name) {
+            Some((_, Json::Str(s))) => Some(std::mem::take(s)),
+            _ => None,
+        };
+        let cmd = take("cmd").ok_or("missing string field `cmd`")?;
+        let mut field = |name: &str| -> Result<String, String> {
+            take(name).ok_or_else(|| format!("`{cmd}` needs a string field `{name}`"))
+        };
+        match cmd.as_str() {
             "open" => Ok(Request::Open {
                 doc: field("doc")?,
                 text: field("text")?,
@@ -565,12 +601,10 @@ impl Request {
             // (`{"cmd":"stats","doc":…}`) silently answer something
             // the caller did not ask about.
             "stats" | "metrics" | "shutdown" => {
-                if let Json::Obj(fields) = v {
-                    if let Some((k, _)) = fields.iter().find(|(k, _)| k != "cmd") {
-                        return Err(format!("`{cmd}` takes no field `{k}` (only `cmd`)"));
-                    }
+                if let Some((k, _)) = fields.iter().find(|(k, _)| k != "cmd") {
+                    return Err(format!("`{cmd}` takes no field `{k}` (only `cmd`)"));
                 }
-                Ok(match cmd {
+                Ok(match cmd.as_str() {
                     "stats" => Request::Stats,
                     "metrics" => Request::Metrics,
                     _ => Request::Shutdown,
@@ -681,69 +715,28 @@ pub fn report_json(doc: &str, report: &CheckReport, src: &str) -> Json {
     ])
 }
 
-/// Append a count the way `Json::Num(n as f64)` encodes it.
+/// Append a count the way `Json::Num(n as f64)` encodes it, without the
+/// `f64::fract` test: a count always passes it, and on the baseline
+/// x86-64 target it is a library call.
 fn write_count(out: &mut String, n: usize) {
-    Json::Num(n as f64).write_to(out);
+    let x = n as f64;
+    if x < INT_BOUND {
+        write_int(out, n as i64);
+    } else {
+        Json::Num(x).write_to(out);
+    }
 }
 
-/// Append the response to a successful `open`/`edit`/`check` to `out`:
-/// exactly the bytes of [`report_json`]`(doc, report, src).write_to(out)`,
-/// written straight from the report. Positions come from one
-/// [`LineIndex`] of `src`; each binding then costs a binary search and a
-/// few appends, and allocates nothing.
-pub fn write_report(out: &mut String, doc: &str, report: &CheckReport, src: &str) {
-    let lines = LineIndex::new(src);
+/// Append a report answer's head, up to its bindings array's body.
+fn write_head(out: &mut String, doc: &str) {
     out.push_str("{\"ok\":true,\"doc\":");
     write_escaped(out, doc);
     out.push_str(",\"bindings\":[");
-    for (i, b) in report.bindings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (line, col) = lines.line_col(b.span.start);
-        out.push_str("{\"name\":");
-        write_escaped(out, b.name);
-        out.push_str(",\"line\":");
-        write_count(out, line);
-        out.push_str(",\"col\":");
-        write_count(out, col);
-        use crate::db::Outcome::*;
-        match &b.outcome {
-            Typed {
-                scheme, defaulted, ..
-            } => {
-                out.push_str(",\"status\":\"ok\",\"type\":");
-                write_escaped(out, scheme);
-                if !defaulted.is_empty() {
-                    out.push_str(",\"defaulted\":[");
-                    for (j, name) in defaulted.iter().enumerate() {
-                        if j > 0 {
-                            out.push(',');
-                        }
-                        write_escaped(out, name);
-                    }
-                    out.push(']');
-                }
-            }
-            Error { class, message } => {
-                out.push_str(",\"status\":\"error\",\"class\":");
-                write_escaped(out, class);
-                out.push_str(",\"message\":");
-                write_escaped(out, message);
-            }
-            Blocked { on } => {
-                out.push_str(",\"status\":\"blocked\",\"on\":");
-                write_escaped(out, on);
-            }
-            Disagreement { core, uf } => {
-                out.push_str(",\"status\":\"disagreement\",\"core\":");
-                write_escaped(out, core);
-                out.push_str(",\"uf\":");
-                write_escaped(out, uf);
-            }
-        }
-        out.push('}');
-    }
+}
+
+/// Append a report answer's tail, from the end of its bindings array's
+/// body: the pass's counters.
+fn write_tail(out: &mut String, report: &CheckReport) {
     out.push_str("],\"rechecked\":");
     write_count(out, report.rechecked);
     out.push_str(",\"reused\":");
@@ -753,6 +746,196 @@ pub fn write_report(out: &mut String, doc: &str, report: &CheckReport, src: &str
     out.push_str(",\"waves\":");
     write_count(out, report.waves);
     out.push('}');
+}
+
+/// Append one binding's object, locating it at `(line, col)`. Each
+/// string's quotes are pushed with the punctuation around it.
+fn write_binding(out: &mut String, b: &BindingReport, (line, col): (usize, usize)) {
+    out.push_str("{\"name\":\"");
+    write_string_body(out, b.name);
+    out.push_str("\",\"line\":");
+    write_count(out, line);
+    out.push_str(",\"col\":");
+    write_count(out, col);
+    use crate::db::Outcome::*;
+    match &b.outcome {
+        Typed {
+            scheme, defaulted, ..
+        } => {
+            out.push_str(",\"status\":\"ok\",\"type\":\"");
+            write_string_body(out, scheme);
+            if defaulted.is_empty() {
+                out.push_str("\"}");
+                return;
+            }
+            out.push_str("\",\"defaulted\":[");
+            for (j, name) in defaulted.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                write_escaped(out, name);
+            }
+            out.push_str("]}");
+        }
+        Error { class, message } => {
+            out.push_str(",\"status\":\"error\",\"class\":\"");
+            write_string_body(out, class);
+            out.push_str("\",\"message\":\"");
+            write_string_body(out, message);
+            out.push_str("\"}");
+        }
+        Blocked { on } => {
+            out.push_str(",\"status\":\"blocked\",\"on\":\"");
+            write_string_body(out, on);
+            out.push_str("\"}");
+        }
+        Disagreement { core, uf } => {
+            out.push_str(",\"status\":\"disagreement\",\"core\":\"");
+            write_string_body(out, core);
+            out.push_str("\",\"uf\":\"");
+            write_string_body(out, uf);
+            out.push_str("\"}");
+        }
+    }
+}
+
+/// Append the body of `report`'s bindings array, locating the bindings
+/// in `src` in one walk along its [`LineIndex`], and tell `note` where
+/// each fragment ends in `out` and where it locates its binding.
+fn write_bindings(
+    out: &mut String,
+    report: &CheckReport,
+    src: &str,
+    mut note: impl FnMut(usize, (usize, usize)),
+) {
+    let lines = LineIndex::new(src);
+    let at = lines.line_cols(report.bindings.iter().map(|b| b.span.start));
+    for (i, (b, at)) in report.bindings.iter().zip(at).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_binding(out, b, at);
+        note(out.len(), at);
+    }
+}
+
+/// Append the response to a successful `open`/`edit`/`check` to `out`:
+/// exactly the bytes of [`report_json`]`(doc, report, src).write_to(out)`,
+/// written straight from the report. One [`LineIndex`] of `src` locates
+/// the bindings; each then costs a few appends, and allocates nothing.
+pub fn write_report(out: &mut String, doc: &str, report: &CheckReport, src: &str) {
+    write_head(out, doc);
+    write_bindings(out, report, src, |_, _| ());
+    write_tail(out, report);
+}
+
+/// The largest bindings-array body a document keeps: the default request
+/// cap, 4 MiB. A larger answer is rendered afresh each time instead of
+/// staying resident. Unit tests use a small bound, to see a body left
+/// out.
+const MAX_KEPT_BODY: usize = if cfg!(test) {
+    256
+} else {
+    DEFAULT_MAX_REQUEST_BYTES
+};
+
+/// The bindings array of a document's last report answer, kept with the
+/// document so that an answer in which no binding's bytes changed is
+/// copied out instead of rendered again (see the module docs).
+pub(crate) struct Kept {
+    /// The array's body: one fragment per binding, comma-separated.
+    body: String,
+    /// Where each binding's fragment ends in `body`.
+    ends: Vec<usize>,
+    /// The `(line, col)` each fragment locates its binding at.
+    pos: Vec<(usize, usize)>,
+    /// Bindings whose verdicts passes recomputed since the body was
+    /// rendered.
+    stale: Vec<usize>,
+    /// Has the text changed since, so that bindings may have moved?
+    moved: bool,
+}
+
+impl Kept {
+    /// Note a pass that kept every binding's index: it recomputed the
+    /// verdicts of `fresh`, over a new text when `moved`.
+    pub(crate) fn note(&mut self, fresh: &[usize], moved: bool) {
+        self.stale.extend_from_slice(fresh);
+        if self.stale.len() > self.ends.len() {
+            // Passes with no answer written in between: name each binding
+            // once, so the list stays within the document's size.
+            self.stale.sort_unstable();
+            self.stale.dedup();
+        }
+        self.moved |= moved;
+    }
+
+    /// Is the body still the bindings array of `report` over `src`? It is
+    /// when every binding sits where its fragment locates it and each
+    /// stale binding's fragment renders to the same bytes.
+    fn is_current(&mut self, report: &CheckReport, src: &str) -> bool {
+        let Kept {
+            body,
+            ends,
+            pos,
+            stale,
+            moved,
+        } = self;
+        if ends.len() != report.bindings.len() {
+            return false;
+        }
+        if std::mem::take(moved) {
+            let starts = report.bindings.iter().map(|b| b.span.start);
+            if !LineIndex::new(src)
+                .line_cols(starts)
+                .eq(pos.iter().copied())
+            {
+                return false;
+            }
+        }
+        let mut fragment = String::new();
+        stale.drain(..).all(|i| {
+            let start = if i == 0 { 0 } else { ends[i - 1] + 1 };
+            fragment.clear();
+            write_binding(&mut fragment, &report.bindings[i], pos[i]);
+            fragment == body[start..ends[i]]
+        })
+    }
+}
+
+/// Append the response to a successful `open`/`edit`/`check` to `out`,
+/// as [`write_report`] does: the document's kept bindings array while it
+/// is current, and otherwise the array rendered in full, which is then
+/// kept if its body is at most [`MAX_KEPT_BODY`] bytes.
+pub(crate) fn write_kept_report(
+    out: &mut String,
+    doc: &str,
+    report: &CheckReport,
+    src: &str,
+    kept: &mut Option<Kept>,
+) {
+    write_head(out, doc);
+    let current = kept.as_mut().is_some_and(|k| k.is_current(report, src));
+    match kept {
+        Some(k) if current => out.push_str(&k.body),
+        _ => {
+            let start = out.len();
+            let n = report.bindings.len();
+            let (mut ends, mut pos) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            write_bindings(out, report, src, |end, at| {
+                ends.push(end - start);
+                pos.push(at);
+            });
+            *kept = (out.len() - start <= MAX_KEPT_BODY).then(|| Kept {
+                body: out[start..].to_string(),
+                ends,
+                pos,
+                stale: Vec::new(),
+                moved: false,
+            });
+        }
+    }
+    write_tail(out, report);
 }
 
 /// An error response, with a source position when available. Deadline
@@ -776,12 +959,12 @@ pub fn error_json(err: &ServiceError, src: Option<&str>) -> Json {
 }
 
 /// Append the report a successful `open`/`edit`/`check` just stored,
-/// written against the document's text: both are borrowed from the
-/// service. Returns whether the answer is an error.
-fn write_stored_report(svc: &Service, doc: &str, out: &mut String) -> bool {
-    match svc.report(doc).zip(svc.text(doc)) {
-        Some((report, src)) => {
-            write_report(out, doc, report, src);
+/// written against the document's text from its kept answer: all are
+/// borrowed from the service. Returns whether the answer is an error.
+fn write_stored_report(svc: &mut Service, doc: &str, out: &mut String) -> bool {
+    match svc.answer_parts(doc) {
+        Some((report, src, kept)) => {
+            write_kept_report(out, doc, report, src, kept);
             false
         }
         // A successful check always stores its report; this arm only
@@ -880,10 +1063,10 @@ fn request_error(msg: String) -> Json {
     ])
 }
 
-fn handle_value(svc: &mut Service, v: &Json, out: &mut String) {
+fn handle_value(svc: &mut Service, v: Json, out: &mut String) {
     svc.begin_request();
     let t0 = Instant::now();
-    let (cmd, is_error) = match Request::from_json(v) {
+    let (cmd, is_error) = match Request::from_value(v) {
         Ok(req) => (stats::cmd_of(&req), handle(svc, &req, out)),
         Err(msg) => {
             request_error(msg).write_to(out);
@@ -921,7 +1104,7 @@ pub fn handle_line(svc: &mut Service, line: &str, out: &mut String) {
         Err(e) => reject(svc, request_error(e.to_string()), out),
         Ok(Json::Arr(items)) => {
             out.push('[');
-            for (i, v) in items.iter().enumerate() {
+            for (i, v) in items.into_iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -929,7 +1112,7 @@ pub fn handle_line(svc: &mut Service, line: &str, out: &mut String) {
             }
             out.push(']');
         }
-        Ok(v) => handle_value(svc, &v, out),
+        Ok(v) => handle_value(svc, v, out),
     }
 }
 
@@ -1011,6 +1194,42 @@ mod tests {
         let mut out = String::new();
         handle_line(s, line, &mut out);
         Json::parse(&out).expect("every answer is one JSON value")
+    }
+
+    /// A document keeps its answer's bindings array only while the body
+    /// fits within `MAX_KEPT_BODY` (256 bytes in unit tests); a larger
+    /// one is rendered afresh each time. Either way every answer is the
+    /// full rendering's, through an edit that moves every line.
+    #[test]
+    fn a_kept_answer_stays_within_its_bound() {
+        let small = "let a = 1;;\nlet b = 2;;\n".to_string();
+        let large: String = (0..8).map(|i| format!("let b{i} = {i};;\n")).collect();
+        for (text, keeps) in [(small, true), (large, false)] {
+            let mut s = svc();
+            let edited = format!("\n{}", text.replace("= 1;;", "= 3;;"));
+            let lines = [
+                Request::Open {
+                    doc: "m".into(),
+                    text,
+                },
+                Request::Check { doc: "m".into() },
+                Request::Edit {
+                    doc: "m".into(),
+                    text: edited,
+                },
+                Request::Check { doc: "m".into() },
+            ]
+            .map(|r| r.to_json().to_string());
+            for line in &lines {
+                let mut out = String::new();
+                handle_line(&mut s, line, &mut out);
+                let mut full = String::new();
+                write_report(&mut full, "m", s.report("m").unwrap(), s.text("m").unwrap());
+                assert_eq!(out, full, "{line}");
+                let (_, _, kept) = s.answer_parts("m").expect("checked");
+                assert_eq!(kept.is_some(), keeps, "{line}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::protocol::{handle_line, reject, Json};
 use crate::service::Service;
+use freezeml_core::scan::find_newline;
 use freezeml_obs::Val;
 use std::io::{self, BufRead, Write};
 use std::time::{Duration, Instant};
@@ -117,7 +118,7 @@ fn read_request<R: BufRead>(
                 (_, false) => Some(RawLine::Line),
             });
         }
-        let (chunk, terminated) = match available.iter().position(|&b| b == b'\n') {
+        let (chunk, terminated) = match find_newline(available) {
             Some(pos) => (&available[..pos], true),
             None => (available, false),
         };

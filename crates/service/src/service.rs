@@ -24,8 +24,9 @@
 //! ```
 
 use crate::db::{Analysis, EngineSel, Outcome};
-use crate::exec::{BindingReport, CheckReport, DeadlineExceeded, Executor, Reuse};
+use crate::exec::{Base, BindingReport, CheckReport, DeadlineExceeded, Executor, Pass};
 use crate::persist::{self, LoadOutcome, PersistConfig, SaveOutcome};
+use crate::protocol::Kept;
 use crate::shared::Shared;
 use crate::sync::Arc;
 use freezeml_core::{Options, ParseError};
@@ -102,6 +103,9 @@ struct Document {
     /// `text`'s parse error, while none of the document's texts has
     /// parsed.
     error: Option<ParseError>,
+    /// The bindings array of the last report answer written, with what
+    /// has changed since; `None` when the next answer renders in full.
+    answer: Option<Kept>,
 }
 
 impl Document {
@@ -115,19 +119,30 @@ impl Document {
 }
 
 /// Make a check pass's report the document's, folding it into the hub's
-/// metrics registry: every report a client sees is counted exactly once.
+/// metrics registry (every report a client sees is counted exactly
+/// once), and tell the document's kept answer what the pass changed:
+/// `moved` when it ran over a new text. A pass that gave bindings new
+/// indices, or ran out of time, drops the kept answer.
 fn keep<'d>(
     m: &Registry,
-    slot: &'d mut Option<CheckReport>,
-    pass: Result<CheckReport, DeadlineExceeded>,
+    doc: &'d mut Document,
+    pass: Result<Pass, DeadlineExceeded>,
+    moved: bool,
 ) -> Result<&'d CheckReport, ServiceError> {
-    let report = pass.map_err(|_| ServiceError::Deadline)?;
+    let Ok(Pass { report, fresh }) = pass else {
+        doc.answer = None;
+        return Err(ServiceError::Deadline);
+    };
     m.bindings.add(report.bindings.len() as u64);
     m.rechecked.add(report.rechecked as u64);
     m.reused.add(report.reused as u64);
     m.blocked.add(report.blocked as u64);
     m.waves.add(report.waves as u64);
-    Ok(slot.insert(report))
+    match (&mut doc.answer, fresh) {
+        (Some(kept), Some(fresh)) => kept.note(&fresh, moved),
+        (answer, _) => *answer = None,
+    }
+    Ok(doc.report.insert(report))
 }
 
 /// The program-checking service. See the module docs.
@@ -256,6 +271,7 @@ impl Service {
             analysis: Analysis::empty(&self.cfg.opts, self.cfg.engine),
             report: None,
             error: None,
+            answer: None,
         };
         let new = !self.docs.contains_key(doc);
         let entry = self.docs.get_mut(doc).unwrap_or(&mut fresh);
@@ -295,19 +311,14 @@ impl Service {
         entry.text.push_str(text);
         // The base is spent: after a deadline the document has an
         // analysis but no report, and its next pass is a full one.
-        let base = entry.report.take();
-        let reuse = base.as_ref().map(|r| Reuse {
-            report: r,
+        let base = entry.report.take().map(|report| Base {
+            report,
             patch: Some(&patch),
         });
-        let pass = self.exec.run_reusing(
-            &entry.analysis,
-            reuse,
-            &self.shared,
-            self.ctx,
-            self.deadline,
-        );
-        let kept = keep(self.shared.metrics(), &mut entry.report, pass).map(|_| ());
+        let pass =
+            self.exec
+                .run_reusing(&entry.analysis, base, &self.shared, self.ctx, self.deadline);
+        let kept = keep(self.shared.metrics(), entry, pass, true).map(|_| ());
         if new {
             self.docs.insert(doc.to_string(), fresh);
         }
@@ -359,21 +370,30 @@ impl Service {
             .get_mut(doc)
             .ok_or_else(|| ServiceError::UnknownDoc(doc.to_string()))?;
         // (A document none of whose texts has parsed has no report.)
-        let base = entry.report.take();
-        let a = entry.analysis()?;
-        let reuse = base.as_ref().map(|r| Reuse {
-            report: r,
+        let base = entry.report.take().map(|report| Base {
+            report,
             patch: None,
         });
+        let a = entry.analysis()?;
         let pass = self
             .exec
-            .run_reusing(a, reuse, &self.shared, self.ctx, self.deadline);
-        keep(self.shared.metrics(), &mut entry.report, pass)
+            .run_reusing(a, base, &self.shared, self.ctx, self.deadline);
+        keep(self.shared.metrics(), entry, pass, false)
     }
 
     /// The latest report for a document, if it has been checked.
     pub fn report(&self, doc: &str) -> Option<&CheckReport> {
         self.docs.get(doc).and_then(|d| d.report.as_ref())
+    }
+
+    /// What a report answer for a checked document is written from: its
+    /// report, its text, and its kept answer.
+    pub(crate) fn answer_parts(
+        &mut self,
+        doc: &str,
+    ) -> Option<(&CheckReport, &str, &mut Option<Kept>)> {
+        let d = self.docs.get_mut(doc)?;
+        Some((d.report.as_ref()?, &d.text, &mut d.answer))
     }
 
     /// A document's current text.
@@ -456,7 +476,7 @@ impl Service {
         // entry points (this is a protocol-boundary operation, like
         // type-of's rendering — the hot check path never comes here).
         let mut env = if a.uses_prelude {
-            freezeml_corpus::figure2()
+            freezeml_corpus::figure2_shared().clone()
         } else {
             freezeml_core::TypeEnv::new()
         };

@@ -5,16 +5,17 @@
 //!   constant number of times — not per binding;
 //! * a warm `edit` of one leaf literal binding allocates, looks up parse
 //!   chunks and probes verdicts in proportion to the edit, not to the
-//!   document;
+//!   document, and allocates fewer bytes than a copy of the report's
+//!   verdicts would add to what the request itself needs;
 //! * analysing the document allocates a bounded number of times per
 //!   chunk, into an empty parse cache and into a warm one.
 //!
 //! The counts are deterministic, so unlike a timer they hold on any
 //! host.
 //!
-//! This binary installs a counting global allocator. Counts are kept per
-//! thread, so tests running side by side do not see each other's
-//! allocations.
+//! This binary installs a counting global allocator, which counts
+//! allocations and the bytes they ask for. Counts are kept per thread,
+//! so tests running side by side do not see each other's allocations.
 
 use freezeml_core::Options;
 use freezeml_service::{
@@ -30,10 +31,14 @@ thread_local! {
     // destructor, so the allocator can touch it at any point of a
     // thread's life without recursing into itself.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn note() {
+/// Count one allocation of `bytes` bytes (a reallocation counts its new
+/// size).
+fn note(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -41,13 +46,13 @@ fn note() {
 // and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -58,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from `System` through this allocator and the
         // caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -70,9 +75,17 @@ static COUNTING: Counting = Counting;
 
 /// Allocations (reallocations included) this thread makes inside `f`.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
+    allocations_and_bytes(f).0
+}
+
+/// Allocations this thread makes inside `f`, and the bytes they ask for.
+fn allocations_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     f();
-    ALLOCS.with(Cell::get) - before
+    (
+        ALLOCS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
 }
 
 /// The gate: a constant, far below one allocation per binding.
@@ -94,7 +107,7 @@ fn a_warm_check_answer_allocates_a_constant_number_of_times() {
     handle_line(&mut svc, line, &mut out);
     let first = out.clone();
     out.clear();
-    let n = allocations(|| handle_line(&mut svc, line, &mut out));
+    let (n, bytes) = allocations_and_bytes(|| handle_line(&mut svc, line, &mut out));
     assert_eq!(out, first, "the same document answers the same bytes");
     assert_eq!(
         out.matches("\"status\":\"ok\"").count(),
@@ -103,7 +116,7 @@ fn a_warm_check_answer_allocates_a_constant_number_of_times() {
     );
     assert!(
         n < MAX_ALLOCS,
-        "answering `check` on {N} bindings made {n} allocations (gate: < {MAX_ALLOCS})"
+        "answering `check` on {N} bindings made {n} allocations of {bytes} bytes (gate: < {MAX_ALLOCS})"
     );
 }
 
@@ -113,6 +126,15 @@ fn a_warm_check_answer_allocates_a_constant_number_of_times() {
 /// made 11 616 allocations, 2 000 parse-chunk lookups and 2 000 verdict
 /// probes; patched, it makes 82, 1 and 1.
 const MAX_EDIT_ALLOCS: u64 = 256;
+/// The bytes gate. While each pass copied the report's 2 000 verdicts into
+/// a fresh 176 016-byte slice, this edit asked for 487 849 bytes (the
+/// copy, a 28 672-byte line index, the request text copied out of the
+/// decoded line, and the rest); the gate is that count less the slice.
+/// Patching the report in place, keeping the answer, and moving the
+/// decoded text into the request, it asks for about 263 000, the line
+/// index that shows no binding moved included. A kept answer rendered
+/// afresh rather than left alone would add about 215 000.
+const MAX_EDIT_BYTES: u64 = 487_849 - 176_016;
 const MAX_EDIT_LOOKUPS: u64 = 2;
 const MAX_EDIT_PROBES: u64 = 2;
 
@@ -158,7 +180,7 @@ fn a_warm_leaf_edit_costs_what_the_edit_touches() {
         m.verdict_hits.get() + m.verdict_misses.get()
     };
     let (l0, p0) = (lookups(&svc), probes(&svc));
-    let n = allocations(|| handle_line(&mut svc, &edit, &mut out));
+    let (n, bytes) = allocations_and_bytes(|| handle_line(&mut svc, &edit, &mut out));
     let (l, p) = (lookups(&svc) - l0, probes(&svc) - p0);
     assert!(
         out.contains("\"rechecked\":1,"),
@@ -173,6 +195,10 @@ fn a_warm_leaf_edit_costs_what_the_edit_touches() {
     assert!(
         n < MAX_EDIT_ALLOCS,
         "a leaf edit of {N} bindings made {n} allocations (gate: < {MAX_EDIT_ALLOCS})"
+    );
+    assert!(
+        bytes < MAX_EDIT_BYTES,
+        "a leaf edit of {N} bindings asked for {bytes} bytes (gate: < {MAX_EDIT_BYTES})"
     );
     assert!(
         l <= MAX_EDIT_LOOKUPS,

@@ -425,3 +425,99 @@ fn an_injected_internal_error_heals_on_the_next_edit() {
         assert!(!healed.contains(r#""status":"blocked""#), "{healed}");
     }
 }
+
+/// A document keeps the bindings array of its last answer and patches
+/// it: an edit that keeps every binding's index re-renders only the
+/// bindings with a fresh verdict or a new line or column. Every answer
+/// here must still be the bytes a reopen answers: after an edit that
+/// moves every later line, after one that moves a column, around a
+/// parse error, after a pass that ran out of time, and across a close.
+#[test]
+fn kept_answers_answer_as_a_reopen_does() {
+    let _gate = gate();
+    let g = GenProgram::generate(60, 17);
+    let mut lines: Vec<String> = g.text().lines().map(str::to_string).collect();
+    lines.insert(3, "let x = 1;; let y = plus x 2;;".into());
+    let text = |l: &[String]| l.join("\n") + "\n";
+    // The binding with the most dependents: an edit of it dirties a
+    // cone that spans several waves.
+    let base = text(&lines);
+    let a = analyze(&base, &Options::default(), EngineSel::Uf).unwrap();
+    let hub = (0..a.decls.len())
+        .max_by_key(|&i| a.dependents(i).len())
+        .unwrap();
+    let hub_line = lines
+        .iter()
+        .position(|l| l.starts_with(&format!("let {} = ", a.decls[hub].name())))
+        .unwrap();
+    for engine in ENGINES {
+        let mut l = lines.clone();
+        let mut t = Twins::new(engine, &text(&l));
+        t.check(&format!("{engine:?} opened"));
+        // A newline inside an early body: every later binding moves down
+        // a line, and nothing else changes.
+        l[2] = l[2].replacen(" = ", " =\n  ", 1);
+        t.edit(&text(&l), &format!("{engine:?} newline"));
+        t.check(&format!("{engine:?} after newline"));
+        // Two bindings on one line: a longer first body moves the
+        // second's column.
+        l[3] = "let x = 1000;; let y = plus x 2;;".into();
+        t.edit(&text(&l), &format!("{engine:?} column"));
+        t.check(&format!("{engine:?} after column"));
+        l[3] = "let x = true;;    let y = plus x 2;;".into();
+        t.edit(&text(&l), &format!("{engine:?} column and verdicts"));
+        // A parse error in between leaves the last good answer kept, and
+        // the next edit patches it.
+        let mut broken = l.clone();
+        broken[6] = "let broken = ;;".into();
+        let got = t.edit(&text(&broken), &format!("{engine:?} parse error"));
+        assert!(got.starts_with(r#"{"ok":false"#), "{got}");
+        l[3] = "let x = 7;; let y = plus x 2;;".into();
+        t.edit(&text(&l), &format!("{engine:?} after parse error"));
+        // A pass that runs out of time leaves no report, so the next
+        // answer renders in full.
+        l[hub_line] = l[hub_line].replacen(";;", " ;;", 1);
+        let (doc, timed) = ("d".to_string(), text(&l));
+        let line = |open: bool| {
+            let (doc, text) = (doc.clone(), timed.clone());
+            match open {
+                true => Request::Open { doc, text },
+                false => Request::Edit { doc, text },
+            }
+            .to_json()
+            .to_string()
+        };
+        let budget = std::time::Duration::from_millis(100);
+        fault::install("infer.wave=delay:300ms*1").expect("spec parses");
+        t.primary
+            .set_deadline(Some(std::time::Instant::now() + budget));
+        let got = answer(&mut t.primary, &line(false));
+        t.primary.set_deadline(None);
+        fault::install("infer.wave=delay:300ms*1").expect("spec parses");
+        answer(&mut t.twin, r#"{"cmd":"close","doc":"d"}"#);
+        t.twin
+            .set_deadline(Some(std::time::Instant::now() + budget));
+        let want = answer(&mut t.twin, &line(true));
+        t.twin.set_deadline(None);
+        fault::clear();
+        assert_eq!(got, r#"{"ok":false,"error":"deadline"}"#, "{engine:?}");
+        assert_eq!(got, want, "{engine:?}: the timed-out pass");
+        t.check(&format!("{engine:?} after deadline"));
+        l[3] = "let x = 8;; let y = plus x 2;;".into();
+        t.edit(&text(&l), &format!("{engine:?} after deadline"));
+        // A closed and reopened document starts from a full answer.
+        answer(&mut t.primary, r#"{"cmd":"close","doc":"d"}"#);
+        let open = Request::Open {
+            doc: "d".into(),
+            text: text(&l),
+        }
+        .to_json()
+        .to_string();
+        let got = answer(&mut t.primary, &open);
+        answer(&mut t.twin, r#"{"cmd":"close","doc":"d"}"#);
+        assert_eq!(got, answer(&mut t.twin, &open), "{engine:?} reopen");
+        l[2] = l[2].replacen("=\n  ", "= ", 1);
+        t.edit(&text(&l), &format!("{engine:?} after reopen"));
+        t.check(&format!("{engine:?} after reopen"));
+    }
+}

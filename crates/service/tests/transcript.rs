@@ -10,7 +10,10 @@
 //! name holds `"`, `\`, control bytes, non-ASCII text and an emoji; a
 //! batch line with one bad element; parse errors answered with
 //! `line`/`col`; unknown documents; bad JSON; an oversized line; a
-//! non-UTF-8 line; and a final `shutdown`.
+//! non-UTF-8 line; edits that keep every binding in place but move the
+//! later lines, or the column of a second binding on one line, each
+//! followed by a `check` (answered from the document's kept answer);
+//! and a final `shutdown`.
 //!
 //! The other tests compare parsed values; this one compares bytes, so an
 //! encoder change that keeps the values but moves a byte fails here.

@@ -229,12 +229,12 @@ pub fn render_eval(r: &Result<freezeml_systemf::Value, String>) -> String {
 
 // -------------------------------------------------- canonical renaming
 
-struct Canon {
+struct Canon<S: Iterator<Item = Symbol>> {
     /// Letters not already claimed by a named type variable anywhere in
     /// the term (free named variables must keep their spelling; bound
     /// named variables are renamed, but reserving their letters keeps
     /// the assignment independent of binding structure).
-    supply: std::vec::IntoIter<Symbol>,
+    supply: S,
     overflow: u32,
     /// Canonical names for invented *free* type variables.
     ty_free: FxHashMap<TyVar, TyVar>,
@@ -244,7 +244,7 @@ struct Canon {
     var_counter: usize,
 }
 
-impl Canon {
+impl<S: Iterator<Item = Symbol>> Canon<S> {
     fn next_letter(&mut self) -> TyVar {
         match self.supply.next() {
             Some(s) => TyVar::from_symbol(s),
@@ -400,11 +400,10 @@ pub fn canonicalize_fterm(t: &FTerm) -> FTerm {
     let mut tys = FxHashSet::default();
     let mut vars = FxHashSet::default();
     collect_names(t, &mut Vec::new(), &mut tys, &mut vars);
-    // Pre-draw a generous batch of letters (the supply iterator borrows
-    // the taken set).
-    let letters: Vec<Symbol> = freezeml_core::types::letter_supply(tys).take(512).collect();
+    // The first 512 letters of the supply, drawn as binders need them;
+    // past them, numbered names.
     let mut canon = Canon {
-        supply: letters.into_iter(),
+        supply: freezeml_core::types::letter_supply(tys).take(512),
         overflow: 0,
         ty_free: FxHashMap::default(),
         var_map: FxHashMap::default(),

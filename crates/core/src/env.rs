@@ -267,6 +267,11 @@ impl TypeEnv {
         self.entries.iter().map(|(v, t)| (v, t))
     }
 
+    /// The bindings in order, as a slice.
+    pub fn entries(&self) -> &[(Var, Type)] {
+        &self.entries
+    }
+
     /// Map a function over all types (used to apply substitutions, `θ(Γ)`).
     pub fn map_types(&self, mut f: impl FnMut(&Type) -> Type) -> Self {
         TypeEnv {

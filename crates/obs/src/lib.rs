@@ -10,12 +10,11 @@
 //!   persistence layer's evictions) as the single source of truth. The
 //!   service crate's metric catalogue reads each field in one row and
 //!   renders both `stats` (JSON) and `metrics` (Prometheus text).
-//! * [`trace`] — span/event tracing to JSONL, modeled on the
-//!   elaboration layer's evidence-sink pattern: emit sites are generic
-//!   over a [`TraceSink`] whose `ENABLED` associated const lets the
-//!   disabled instantiation ([`NoTrace`]) monomorphise to the exact
-//!   pre-tracing code. Records carry hierarchical ids (connection →
-//!   session → request → wave → binding) and per-phase durations.
+//! * [`trace`] — span/event tracing to JSONL through one [`Tracer`]
+//!   handle: every emit site guards its clock reads and records on
+//!   [`Tracer::enabled`], so with tracing off a site is one branch.
+//!   Records carry hierarchical ids (connection → session → request →
+//!   wave → binding) and per-phase durations.
 //!
 //! This crate sits below every serving-layer crate and above none; its
 //! only dependency is the vendored `interleave` shim, whose normal-build
@@ -39,7 +38,4 @@ pub use metrics::{
     bucket_le_ns, Cmd, CmdMetrics, Counter, HistSnapshot, Histogram, LabeledCounter, Registry,
     BUCKETS,
 };
-pub use trace::{
-    next_conn_id, next_session_id, JsonlSink, NoTrace, Record, Span, TraceCtx, TraceSink, Tracer,
-    Val, TRACE_ENV,
-};
+pub use trace::{next_conn_id, next_session_id, Record, Span, TraceCtx, Tracer, Val, TRACE_ENV};

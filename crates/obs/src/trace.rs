@@ -1,16 +1,14 @@
 //! The span/event tracing layer: JSONL records with hierarchical ids,
-//! zero-cost when disabled.
+//! near-free when disabled.
 //!
-//! This is the evidence-sink pattern from the elaboration layer (PR 5)
-//! applied to timing: code that can emit trace records is generic over
-//! a [`TraceSink`], and the disabled sink ([`NoTrace`]) has
-//! `ENABLED = false` as an associated *const* — every
-//! `if S::ENABLED { … }` guard is resolved at monomorphisation time, so
-//! the untraced instantiation compiles to exactly the code that existed
-//! before tracing, with no branch, no clock read, and no dead record
-//! construction. The `service/trace-overhead` bench row holds the
-//! *enabled* path to the same standard dynamically (≤5% over the load
-//! mix).
+//! Every emit site goes through the one [`Tracer`] handle and guards its
+//! work on [`Tracer::enabled`]: with tracing off a site costs one branch
+//! — no clock read, no record built.
+//! [`Tracer::span`] is that guard for a plain timed phase; a site whose
+//! record carries more (the executor's per-wave and per-binding spans)
+//! reads the clock only when `enabled()` and hands the record to
+//! [`Tracer::emit`]. The `service/trace-overhead` bench row holds the
+//! *enabled* path to ≤5% over the load mix.
 //!
 //! ## Record schema
 //!
@@ -140,28 +138,6 @@ pub struct TraceCtx {
     pub req: u64,
 }
 
-/// Where trace records go. Implementations must be cheap to call when
-/// disabled: [`NoTrace`] sets `ENABLED = false` so generic callers
-/// guard every clock read and record construction behind a
-/// monomorphisation-time constant.
-pub trait TraceSink: Sync {
-    /// Whether this sink records anything — an associated const so the
-    /// disabled instantiation folds away.
-    const ENABLED: bool;
-
-    /// Write one record.
-    fn emit(&self, r: &Record<'_>);
-}
-
-/// The disabled sink: `ENABLED = false`, `emit` is empty. Code
-/// monomorphised over `NoTrace` is the zero-cost path.
-pub struct NoTrace;
-
-impl TraceSink for NoTrace {
-    const ENABLED: bool = false;
-    fn emit(&self, _: &Record<'_>) {}
-}
-
 /// Minimal JSON string escaping (mirrors the protocol's writer: quote,
 /// backslash, and control characters).
 fn escape_into(out: &mut String, s: &str) {
@@ -184,13 +160,13 @@ fn escape_into(out: &mut String, s: &str) {
 /// opt-in and the lock is held only to append one preformatted line,
 /// so contention stays far below the ≤5% overhead budget (see the
 /// `service/trace-overhead` bench row).
-pub struct JsonlSink {
+struct JsonlSink {
     out: lockrank::Mutex<BufWriter<File>>,
 }
 
 impl JsonlSink {
     /// Open (create or truncate) a trace file.
-    pub fn create(path: &Path) -> std::io::Result<JsonlSink> {
+    fn create(path: &Path) -> std::io::Result<JsonlSink> {
         let file = File::create(path)?;
         Ok(JsonlSink {
             out: lockrank::Mutex::new(lockrank::TRACE_SINK, "obs.trace.sink", BufWriter::new(file)),
@@ -198,18 +174,15 @@ impl JsonlSink {
     }
 
     /// Flush buffered records to disk.
-    pub fn flush(&self) {
+    fn flush(&self) {
         let _ = self
             .out
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .flush();
     }
-}
 
-impl TraceSink for JsonlSink {
-    const ENABLED: bool = true;
-
+    /// Write one record as a JSONL line.
     fn emit(&self, r: &Record<'_>) {
         let ts_us = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -263,13 +236,9 @@ impl TraceSink for JsonlSink {
     }
 }
 
-/// The dynamic handle the service layer threads around: either off
-/// (`None`, the common case) or an [`Arc<JsonlSink>`]. Cloning is a
-/// pointer copy. Call sites on hot paths should match on [`sink`] once
-/// and monomorphise (`run::<JsonlSink>` vs `run::<NoTrace>`) rather
-/// than branching per record.
-///
-/// [`sink`]: Tracer::sink
+/// The handle every emit site traces through: off (the common case) or
+/// a shared JSONL file sink. Cloning is a pointer copy. A site guards
+/// each clock read and record it would build on [`Tracer::enabled`].
 #[derive(Clone, Default)]
 pub struct Tracer {
     sink: Option<Arc<JsonlSink>>,
@@ -308,11 +277,6 @@ impl Tracer {
     /// Is tracing on?
     pub fn enabled(&self) -> bool {
         self.sink.is_some()
-    }
-
-    /// The sink, if tracing is on — for monomorphising call sites.
-    pub fn sink(&self) -> Option<&Arc<JsonlSink>> {
-        self.sink.as_ref()
     }
 
     /// Emit a record (no-op when off).
@@ -407,15 +371,6 @@ mod tests {
             .lines()
             .map(|l| l.to_string())
             .collect()
-    }
-
-    #[test]
-    fn no_trace_is_statically_disabled() {
-        // The whole point: generic code can gate on the const.
-        fn emits<S: TraceSink>(_: &S) -> bool {
-            S::ENABLED
-        }
-        assert!(!emits(&NoTrace));
     }
 
     #[test]

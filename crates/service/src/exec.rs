@@ -23,10 +23,14 @@
 //! full pass over the same hub: reused when typed or an error, blocked
 //! when blocked. A full pass is the case where every binding is dirty; a
 //! `check` is the case where nothing was re-keyed, and when nothing is
-//! dirty either it keeps the previous verdicts as they are. When every
-//! binding keeps its index and nobody else holds the previous verdicts,
-//! the pass overwrites the dirty ones in place and moves the spans;
-//! otherwise it builds a new slice.
+//! dirty either it keeps the previous verdicts as they are.
+//!
+//! A pass first takes the slice it returns: the previous report's own
+//! when every binding keeps its index and nobody else holds it, else a
+//! new one holding each clean binding's kept verdict. Each dirty binding
+//! holds a pending placeholder there until its wave writes its verdict
+//! over it, so dependency checks, the dirty set and the final counts all
+//! read that one slice.
 //!
 //! Checking a binding `let x (: A)? = M;;` infers the probe term
 //! `let x (: A)? = M in ⌈x⌉`, so the scheme is produced by the paper's
@@ -41,7 +45,7 @@ use crate::sync::Arc;
 use freezeml_core::{Options, Span, Symbol, Type, TypeEnv, Var};
 use freezeml_engine::differential::{class_of, types_equivalent};
 use freezeml_engine::{SchemeBank, SchemeId, Session};
-use freezeml_obs::{NoTrace, Record, TraceCtx, TraceSink, Val};
+use freezeml_obs::{Record, TraceCtx, Val};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -49,18 +53,15 @@ use std::time::Instant;
 /// dependencies (resolved against the shared scheme bank).
 type Job = (usize, Vec<(Var, SchemeId)>);
 
-/// The check-pass driver: lazily built engine sessions (with and
-/// without the Figure 2 prelude) plus the core-engine environments. The
-/// scheme bank and outcome cache it runs against live in the [`Shared`]
-/// hub, so many executors (one per connected session) share one scheme
-/// space.
+/// The check-pass driver: lazily built engine sessions, with and
+/// without the Figure 2 prelude. The scheme bank and outcome cache it
+/// runs against live in the [`Shared`] hub, so many executors (one per
+/// connected session) share one scheme space.
 pub struct Executor {
     opts: Options,
     engine: EngineSel,
     /// Lazily interned sessions, keyed by "uses the prelude".
     sessions: [Option<Session>; 2],
-    /// Core-engine base environments, same keying.
-    envs: [Option<TypeEnv>; 2],
 }
 
 impl Executor {
@@ -73,15 +74,6 @@ impl Executor {
             opts,
             engine,
             sessions: [None, None],
-            envs: [None, None],
-        }
-    }
-
-    fn base_env(use_prelude: bool) -> TypeEnv {
-        if use_prelude {
-            freezeml_corpus::figure2_shared().clone()
-        } else {
-            TypeEnv::new()
         }
     }
 
@@ -89,7 +81,7 @@ impl Executor {
         let slot = &mut self.sessions[usize::from(use_prelude)];
         if slot.is_none() {
             *slot = Some(
-                Session::new(&Self::base_env(use_prelude), &self.opts)
+                Session::new(&prelude_env(use_prelude), &self.opts)
                     // lint: allow(unwrap) — static Figure 2 prelude text; a parse failure is a build bug
                     .expect("the Figure 2 prelude is well-formed"),
             );
@@ -98,21 +90,11 @@ impl Executor {
         slot.as_mut().expect("just initialised")
     }
 
-    fn env(&mut self, use_prelude: bool) -> &TypeEnv {
-        let slot = &mut self.envs[usize::from(use_prelude)];
-        if slot.is_none() {
-            *slot = Some(Self::base_env(use_prelude));
-        }
-        // lint: allow(unwrap) — slot initialised in the branch above
-        slot.as_ref().expect("just initialised")
-    }
-
     /// Drop the lazily-built engine sessions. Called after a contained
     /// panic: a session interrupted mid-inference may hold a polluted
     /// `Γ` or store, so it is rebuilt from scratch on next use.
     fn reset(&mut self) {
         self.sessions = [None, None];
-        self.envs = [None, None];
     }
 
     /// Check one binding under the scheme ids of its dependencies.
@@ -152,18 +134,14 @@ impl Executor {
                 }
             }
             EngineSel::Core => {
-                let env = self.dep_tree_env(bank, use_prelude, deps);
+                let env = dep_env(bank, use_prelude, deps);
                 let r = freezeml_core::infer_term(&env, term, &self.opts);
                 outcome_of(bank, r.map(|o| o.ty))
             }
             EngineSel::Both => {
-                let dep_env: Vec<(Var, Type)> =
-                    deps.iter().map(|(x, s)| (*x, bank.to_type(*s))).collect();
-                let uf = self.session(use_prelude).infer_with(&dep_env, term);
-                let mut env = self.env(use_prelude).clone();
-                for (x, t) in &dep_env {
-                    env.push(*x, t.clone());
-                }
+                let env = dep_env(bank, use_prelude, deps);
+                let extra = &env.entries()[env.len() - deps.len()..];
+                let uf = self.session(use_prelude).infer_with(extra, term);
                 let core = freezeml_core::infer_term(&env, term, &self.opts);
                 match (core, uf) {
                     (Ok(c), Ok(u)) if types_equivalent(&c.ty, &u.ty) => outcome_of(bank, Ok(c.ty)),
@@ -177,21 +155,6 @@ impl Executor {
                 }
             }
         }
-    }
-
-    /// Materialise dependency schemes as `core::Type` trees (oracle
-    /// engines only).
-    fn dep_tree_env(
-        &mut self,
-        bank: &SchemeBank,
-        use_prelude: bool,
-        deps: &[(Var, SchemeId)],
-    ) -> TypeEnv {
-        let mut env = self.env(use_prelude).clone();
-        for (x, s) in deps {
-            env.push(*x, bank.to_type(*s));
-        }
-        env
     }
 
     /// Check one binding with panic containment: a panicking check
@@ -229,6 +192,28 @@ impl Executor {
             internal_error(decl.name(), panic_message(payload.as_ref()))
         })
     }
+}
+
+/// The environment every binding of a program is checked under before
+/// its dependencies: the Figure 2 prelude when the program uses it.
+fn prelude_env(use_prelude: bool) -> TypeEnv {
+    if use_prelude {
+        freezeml_corpus::figure2_shared().clone()
+    } else {
+        TypeEnv::new()
+    }
+}
+
+/// The environment the tree engines check a binding under:
+/// [`prelude_env`], then its dependencies' schemes, each materialised
+/// from the bank once. The `core` and `both` engines and
+/// [`crate::Service::elaborate`] all build theirs here.
+pub(crate) fn dep_env(bank: &SchemeBank, use_prelude: bool, deps: &[(Var, SchemeId)]) -> TypeEnv {
+    let mut env = prelude_env(use_prelude);
+    for &(x, s) in deps {
+        env.push(x, bank.to_type(s));
+    }
+    env
 }
 
 /// The `Outcome::Error` class reserved for contained checker panics —
@@ -368,62 +353,88 @@ pub(crate) struct Pass {
     pub(crate) fresh: Option<Vec<usize>>,
 }
 
-/// The base report's verdicts, borrowed while the pass reads them.
-#[derive(Clone, Copy)]
-struct Reuse<'a> {
-    bindings: &'a [BindingReport],
-    patch: Option<&'a Patch>,
+/// The verdict a dirty binding holds in its pass's slice until its wave
+/// writes the real one. No real verdict looks like it: a blocked binding
+/// always names the dependency that blocked it.
+fn pending() -> Outcome {
+    Outcome::Blocked { on: String::new() }
 }
 
-impl<'a> Reuse<'a> {
-    /// The index binding `i` had in the previous report, unless it was
-    /// re-keyed.
-    fn origin(self, i: usize) -> Option<usize> {
-        self.patch.map_or(Some(i), |p| p.origin(i))
-    }
+fn is_pending(o: &Outcome) -> bool {
+    matches!(o, Outcome::Blocked { on } if on.is_empty())
+}
 
-    /// The dirty bindings' places among the pass's own verdicts, in
-    /// index order, and [`CLEAN`] for every other binding. Dirty are the
-    /// bindings the patch re-keyed, the ones whose previous verdict may
-    /// not be served warm ([`Outcome::cacheable`]: a disagreement or an
-    /// internal error is recomputed every pass), and everything
-    /// downstream of one. Also returns how many are dirty.
-    fn slots(self, a: &Analysis) -> (Vec<u32>, usize) {
-        let n = a.decls.len();
-        // First mark the dirty bindings (any value but `CLEAN`)…
-        let mut slots: Vec<u32> = (0..n)
-            .map(|i| match self.origin(i) {
-                Some(o) if self.bindings[o].outcome.cacheable() => CLEAN,
-                _ => 0,
-            })
-            .collect();
-        // (the re-keyed set is closed under dependents already; only a
-        // verdict that must be recomputed adds a cone of its own)…
-        let rekeyed = |i| self.patch.is_some_and(|p| p.rekeyed(i));
-        if let Some(first) = (0..n).find(|&i| slots[i] != CLEAN && !rekeyed(i)) {
-            for i in first + 1..n {
-                if slots[i] == CLEAN && a.deps(i).iter().any(|&d| slots[d] != CLEAN) {
-                    slots[i] = 0;
+/// The slice a pass over `a` writes its verdicts into, every binding
+/// named and placed as in `a`. A clean binding holds the verdict it keeps
+/// from the base report, found through [`Patch::origin`]; a dirty one
+/// holds [`pending`]. Dirty are the bindings the patch re-keyed, the ones
+/// whose previous verdict may not be served warm
+/// ([`Outcome::cacheable`]: a disagreement or an internal error is
+/// recomputed every pass), and everything downstream of one; without a
+/// base, every binding. When every binding keeps its index and nobody
+/// else holds the base's slice, that slice is reused.
+///
+/// Also returns the dirty bindings, ascending, when every binding keeps
+/// the index it had in the base report: [`Pass::fresh`].
+fn verdict_slice(
+    a: &Analysis,
+    base: Option<Base<'_>>,
+) -> (Arc<[BindingReport]>, Option<Vec<usize>>) {
+    let dirty = |d: &DeclInfo| BindingReport {
+        name: d.name(),
+        span: d.span,
+        outcome: pending(),
+    };
+    let Some(Base { report, patch }) = base else {
+        return (a.decls.iter().map(dirty).collect(), None);
+    };
+    let rekeyed = |i| patch.is_some_and(|p| p.rekeyed(i));
+    let keeps_indices = patch.is_none_or(Patch::keeps_indices);
+    let mut prev = report.bindings;
+    let mut bindings = match Arc::get_mut(&mut prev).filter(|_| keeps_indices) {
+        Some(slice) => {
+            for (i, (b, d)) in slice.iter_mut().zip(&a.decls).enumerate() {
+                if rekeyed(i) || !b.outcome.cacheable() {
+                    *b = dirty(d);
+                } else {
+                    b.span = d.span;
                 }
             }
+            prev
         }
-        // …then number them.
-        let mut dirty = 0;
-        for s in slots.iter_mut().filter(|s| **s != CLEAN) {
-            *s = dirty;
-            dirty += 1;
+        None => (a.decls.iter().enumerate())
+            .map(|(i, d)| {
+                let origin = patch.map_or(Some(i), |p| p.origin(i));
+                match origin.map(|o| &prev[o].outcome) {
+                    Some(kept) if kept.cacheable() => BindingReport {
+                        name: d.name(),
+                        span: d.span,
+                        outcome: kept.clone(),
+                    },
+                    _ => dirty(d),
+                }
+            })
+            .collect(),
+    };
+    // lint: allow(unwrap) — the base's unshared slice, or a new one
+    let out = Arc::get_mut(&mut bindings).expect("the pass's own slice");
+    // The re-keyed set is closed under dependents already; only a
+    // verdict that must be recomputed adds a cone of its own.
+    let recompute = (0..out.len()).find(|&i| is_pending(&out[i].outcome) && !rekeyed(i));
+    if let Some(first) = recompute {
+        for i in first + 1..out.len() {
+            if a.deps(i).iter().any(|&d| is_pending(&out[d].outcome)) {
+                out[i].outcome = pending();
+            }
         }
-        (slots, dirty as usize)
     }
-
-    /// The previous binding clean binding `i` keeps the verdict of.
-    fn kept(self, i: usize) -> Option<&'a BindingReport> {
-        self.origin(i).map(|o| &self.bindings[o])
-    }
+    let fresh = keeps_indices.then(|| {
+        (0..out.len())
+            .filter(|&i| is_pending(&out[i].outcome))
+            .collect()
+    });
+    (bindings, fresh)
 }
-
-/// The slot of a binding that keeps its previous verdict.
-const CLEAN: u32 = u32::MAX;
 
 impl Executor {
     /// One check pass: walk the waves, reuse cache hits, block on failed
@@ -459,31 +470,15 @@ impl Executor {
 
     /// A check pass over the dirty bindings of `a` (all of them without
     /// a `base`); the clean ones keep their verdicts from the base
-    /// report. The body is monomorphised over the sink
-    /// ([`freezeml_obs::TraceSink`]'s `ENABLED` const), so with tracing
-    /// off it makes no clock reads and builds no records: the
-    /// `cache-probe`, `infer` and `wave` spans compile away.
+    /// report. Every verdict is written into the slice the pass returns
+    /// ([`verdict_slice`]). With the hub's tracer off, the pass reads no
+    /// clock and builds no `cache-probe`, `infer` or `wave` record.
     pub(crate) fn run_reusing(
         &mut self,
         a: &Analysis,
         base: Option<Base<'_>>,
         shared: &Shared,
         ctx: TraceCtx,
-        deadline: Option<Instant>,
-    ) -> Result<Pass, DeadlineExceeded> {
-        match shared.tracer().sink() {
-            Some(sink) => self.run_sink(a, base, shared, ctx, &**sink, deadline),
-            None => self.run_sink(a, base, shared, ctx, &NoTrace, deadline),
-        }
-    }
-
-    fn run_sink<S: TraceSink>(
-        &mut self,
-        a: &Analysis,
-        base: Option<Base<'_>>,
-        shared: &Shared,
-        ctx: TraceCtx,
-        sink: &S,
         deadline: Option<Instant>,
     ) -> Result<Pass, DeadlineExceeded> {
         // The same text, and every verdict may be served warm: nothing is
@@ -508,36 +503,26 @@ impl Executor {
             }
             base => base,
         };
-        let reuse = base.as_ref().map(|b| Reuse {
-            bindings: &b.report.bindings,
-            patch: b.patch,
-        });
-        let n = a.decls.len();
+        let (mut bindings, fresh) = verdict_slice(a, base);
+        // lint: allow(unwrap) — `verdict_slice` hands over an unshared slice
+        let out = Arc::get_mut(&mut bindings).expect("the pass's own slice");
         let bank = shared.bank();
         let cache = shared.cache();
         let metrics = shared.metrics();
+        let tracer = shared.tracer();
+        let traced = tracer.enabled();
         // One probe up front keeps the fault layer off the hot path:
         // when no spec is installed this is a single relaxed load and
         // every per-binding site check below is skipped entirely.
         let faults_on = fault::active();
-        // The verdicts this pass computes, one slot per dirty binding (all
-        // of them in a full pass); a clean binding's is `reuse`'s.
-        let (slots, dirty) = match reuse {
-            Some(r) => r.slots(a),
-            None => (Vec::new(), n),
-        };
-        let slot = |i: usize| slots.get(i).map_or(i, |&s| s as usize);
-        let is_dirty = |i: usize| slots.get(i).is_none_or(|&s| s != CLEAN);
-        let mut outcomes: Vec<Option<Outcome>> = vec![None; dirty];
-        let (mut rechecked, mut reused, mut blocked) = (0usize, 0usize, 0usize);
-        let (mut waves, mut probe_hits) = (0usize, 0usize);
+        let (mut rechecked, mut waves, mut probe_hits) = (0usize, 0usize, 0usize);
         // A wave's cache misses, all queued before the first one runs:
         // two identical bindings in one wave are therefore both
         // rechecked, never the second served from the first's verdict.
         let mut jobs: Vec<Job> = Vec::new();
 
         for (wave_no, wave) in a.waves.iter().enumerate() {
-            if !wave.iter().any(|&i| is_dirty(i)) {
+            if !wave.iter().any(|&i| is_pending(&out[i].outcome)) {
                 continue;
             }
             if let Some(d) = deadline {
@@ -561,47 +546,33 @@ impl Executor {
             } else {
                 None
             };
-            let wave_t0 = if S::ENABLED {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            for &i in wave.iter().filter(|&&i| is_dirty(i)) {
-                let settled = |d: usize| match outcomes.get(slot(d)) {
-                    Some(o) => o.as_ref(),
-                    None => reuse.and_then(|r| r.kept(d)).map(|b| &b.outcome),
-                };
-                if let Some(&bad) = a
-                    .deps(i)
-                    .iter()
-                    .find(|&&d| !settled(d).is_some_and(Outcome::is_typed))
-                {
-                    outcomes[slot(i)] = Some(Outcome::Blocked {
+            let wave_t0 = traced.then(Instant::now);
+            for &i in wave {
+                if !is_pending(&out[i].outcome) {
+                    continue;
+                }
+                let deps = a.deps(i);
+                if let Some(&bad) = deps.iter().find(|&&d| !out[d].outcome.is_typed()) {
+                    out[i].outcome = Outcome::Blocked {
                         on: a.decls[bad].name().to_string(),
-                    });
-                    blocked += 1;
-                    continue;
-                }
-                if let Some(hit) = cache.get(a.keys[i]) {
-                    outcomes[slot(i)] = Some(hit);
-                    reused += 1;
+                    };
+                } else if let Some(hit) = cache.get(a.keys[i]) {
+                    out[i].outcome = hit;
                     probe_hits += 1;
-                    continue;
+                } else {
+                    let env = (deps.iter())
+                        .map(|&d| {
+                            let Outcome::Typed { id, .. } = out[d].outcome else {
+                                unreachable!("checked typed above")
+                            };
+                            (Var::from_symbol(a.decls[d].name_sym()), id)
+                        })
+                        .collect();
+                    jobs.push((i, env));
                 }
-                let dep_env: Vec<(Var, SchemeId)> = a
-                    .deps(i)
-                    .iter()
-                    .map(|&d| {
-                        let Some(Outcome::Typed { id, .. }) = settled(d) else {
-                            unreachable!("checked typed above")
-                        };
-                        (Var::from_symbol(a.decls[d].name_sym()), *id)
-                    })
-                    .collect();
-                jobs.push((i, dep_env));
             }
             if let Some(t0) = wave_t0 {
-                sink.emit(
+                tracer.emit(
                     &Record::new("span", "cache-probe")
                         .ctx(ctx)
                         .wave(wave_no as u64)
@@ -616,7 +587,7 @@ impl Executor {
             let job_count = jobs.len();
             rechecked += job_count;
             for (i, env) in jobs.drain(..) {
-                let t0 = S::ENABLED.then(Instant::now);
+                let t0 = traced.then(Instant::now);
                 let inject = wave_inject.or_else(|| {
                     faults_on
                         .then(|| fault::hit_counted("infer.binding", metrics))
@@ -624,7 +595,7 @@ impl Executor {
                 });
                 let o = self.check_contained(bank, a.uses_prelude, &a.decls[i], &env, inject);
                 if let Some(t0) = t0 {
-                    sink.emit(
+                    tracer.emit(
                         &Record::new("span", "infer")
                             .ctx(ctx)
                             .wave(wave_no as u64)
@@ -635,11 +606,11 @@ impl Executor {
                 if o.cacheable() {
                     cache.insert(a.keys[i], o.clone());
                 }
-                outcomes[slot(i)] = Some(o);
+                out[i].outcome = o;
             }
             if let Some(t0) = wave_t0 {
                 let extras = [("jobs", Val::U(job_count as u64))];
-                sink.emit(
+                tracer.emit(
                     &Record::new("span", "wave")
                         .ctx(ctx)
                         .wave(wave_no as u64)
@@ -654,63 +625,17 @@ impl Executor {
         // verdicts are not re-stamped with the hub generation either.
         metrics.verdict_hits.add(probe_hits as u64);
         metrics.verdict_misses.add(rechecked as u64);
-
-        // A clean binding keeps its previous verdict, and counts as a full
-        // pass over the same hub would count it.
-        let mut count_kept = |o: &Outcome| match o {
-            Outcome::Blocked { .. } => blocked += 1,
-            _ => reused += 1,
-        };
-        let patch = base.as_ref().and_then(|b| b.patch);
-        let keeps_indices = base.is_some() && patch.is_none_or(Patch::keeps_indices);
-        // The dirty bindings are the ones with a fresh verdict.
-        let fresh = keeps_indices.then(|| (0..n).filter(|&i| is_dirty(i)).collect());
-        let mut prev = base.map(|b| b.report.bindings);
-        // When every binding keeps its index and nobody else holds the
-        // base's slice, overwrite the fresh verdicts and move the spans in
-        // place; otherwise build a new slice.
-        let bindings = match prev
-            .as_mut()
-            .filter(|_| keeps_indices)
-            .and_then(Arc::get_mut)
-        {
-            Some(slice) => {
-                for (i, (b, d)) in slice.iter_mut().zip(&a.decls).enumerate() {
-                    b.span = d.span;
-                    match outcomes.get_mut(slot(i)).and_then(Option::take) {
-                        Some(o) => (b.name, b.outcome) = (d.name(), o),
-                        None => count_kept(&b.outcome),
-                    }
-                }
-                // lint: allow(unwrap) — `slice` was borrowed from it
-                prev.expect("patched in place")
-            }
-            None => {
-                let reuse = prev.as_deref().map(|bindings| Reuse { bindings, patch });
-                (a.decls.iter().enumerate())
-                    .map(|(i, d)| {
-                        let computed = outcomes.get_mut(slot(i)).and_then(Option::take);
-                        let outcome = computed.unwrap_or_else(|| {
-                            let old = reuse.and_then(|r| r.kept(i)).unwrap_or_else(|| {
-                                unreachable!("a binding is dirty or keeps its verdict")
-                            });
-                            count_kept(&old.outcome);
-                            old.outcome.clone()
-                        });
-                        BindingReport {
-                            name: d.name(),
-                            span: d.span,
-                            outcome,
-                        }
-                    })
-                    .collect()
-            }
-        };
+        // Every binding not rechecked was reused, unless it is blocked —
+        // this pass or, for a clean one, the pass that computed it — as a
+        // full pass over the same hub would count it.
+        let blocked = (out.iter())
+            .filter(|b| matches!(b.outcome, Outcome::Blocked { .. }))
+            .count();
         Ok(Pass {
             report: CheckReport {
+                reused: out.len() - rechecked - blocked,
                 bindings,
                 rechecked,
-                reused,
                 blocked,
                 waves,
             },

@@ -28,7 +28,7 @@
 //! `infer.wave`, `infer.binding`, `bank.absorb`, `sock.read`, and
 //! `sock.write`.
 //!
-//! **Zero-cost when unset**, in the [`freezeml_obs::NoTrace`] sense:
+//! **Near-free when unset**, like a disabled [`freezeml_obs::Tracer`]:
 //! [`hit`] is one relaxed atomic load when no spec is installed — no
 //! lock, no allocation, no env probe after the first call. Each trip is
 //! counted in the hub registry's `failpoint_trips{site}` label set (the

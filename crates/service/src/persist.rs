@@ -1174,6 +1174,33 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A verdict-cache hit puts an entry back in use: read after a newer
+    /// entry was written, the older entry outlives it when the budget
+    /// holds one entry only.
+    #[test]
+    fn a_read_keeps_an_old_verdict_over_a_newer_unread_one() {
+        let dir = tmp_dir("restamp");
+        let mut cfg = PersistConfig::new(&dir);
+        let opts = Options::default();
+        let shared = Shared::new();
+        let mut exec = Executor::new(1, opts, EngineSel::Uf);
+        let old = analyze("let old = 1;;\n", &opts, EngineSel::Uf).unwrap();
+        let new = analyze("let new = true;;\n", &opts, EngineSel::Uf).unwrap();
+        // Each save advances the generation: `new` is written one later
+        // than `old`, and `old` is read one later still.
+        exec.run(&old, &shared);
+        save(&shared, epoch(&opts), &cfg).unwrap();
+        exec.run(&new, &shared);
+        save(&shared, epoch(&opts), &cfg).unwrap();
+        assert_eq!(exec.run(&old, &shared).reused, 1, "a cache hit");
+        cfg.max_bytes = 220; // the header and one entry
+        let out = save(&shared, epoch(&opts), &cfg).unwrap();
+        assert_eq!((out.entries, out.evicted), (1, 1));
+        assert!(shared.cache().get(old.keys[0]).is_some(), "read last, kept");
+        assert_eq!(shared.cache().get(new.keys[0]), None, "unread, evicted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Replace the snapshot's payload with `s`, keeping the file's header
     /// but making its payload length and checksum match.
     fn rewrite_payload(cfg: &PersistConfig, s: &DecodedSnapshot) {

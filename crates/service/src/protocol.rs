@@ -64,7 +64,7 @@
 //! old one. A body is kept only up to the default request cap, 4 MiB.
 
 use crate::exec::{BindingReport, CheckReport};
-use crate::scan::find_string_stop;
+use crate::scan::{find_string_end, find_string_stop};
 use crate::server::DEFAULT_MAX_REQUEST_BYTES;
 use crate::service::{Service, ServiceError};
 use crate::stats;
@@ -404,7 +404,19 @@ impl JsonParser<'_> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"', "expected `\"`")?;
-        let mut out = String::new();
+        let rest = &self.bytes[self.pos..];
+        let run = find_string_stop(rest).unwrap_or(rest.len());
+        if rest.get(run) == Some(&b'"') {
+            // No escape: the string is its first run, copied once.
+            let s = self.src[self.pos..self.pos + run].to_owned();
+            self.pos += run + 1;
+            return Ok(s);
+        }
+        // Every escape spells more bytes than it decodes to, so the raw
+        // bytes up to the closing quote bound the decoded string, and
+        // size its one allocation.
+        let body = &self.src[self.pos..];
+        let mut out = String::with_capacity(find_string_end(body).unwrap_or(body.len()));
         loop {
             // Copy the run up to the next `"`, `\` or control byte as one
             // slice. Those stop bytes are ASCII, so the run ends on a
@@ -1305,6 +1317,25 @@ mod tests {
         // Round trip of the request itself.
         let req = Request::parse(r#"{"cmd":"elaborate","doc":"m","name":"f"}"#).unwrap();
         assert_eq!(Request::parse(&req.to_json().to_string()).unwrap(), req);
+    }
+
+    /// Binding names are interned, so a name the symbol table has never
+    /// seen names no binding: `elaborate` answers `found: false` without
+    /// interning it.
+    #[test]
+    fn elaborate_of_a_never_interned_name_is_not_found() {
+        let mut s = svc();
+        ask(
+            &mut s,
+            r##"{"cmd":"open","doc":"m","text":"let f = fun x -> x;;\n"}"##,
+        );
+        let name = "elaborate_never_interned_name";
+        assert_eq!(freezeml_core::Symbol::lookup(name), None);
+        let line = format!(r#"{{"cmd":"elaborate","doc":"m","name":"{name}"}}"#);
+        let r = ask(&mut s, &line);
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(r.get("found"), Some(&Json::Bool(false)));
+        assert_eq!(freezeml_core::Symbol::lookup(name), None);
     }
 
     #[test]

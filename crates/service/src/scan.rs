@@ -21,6 +21,24 @@ pub(crate) fn find_string_stop(bytes: &[u8]) -> Option<usize> {
     )
 }
 
+/// The index of the `"` that closes a JSON string whose body starts at
+/// `s`: the first `"` not escaped by an odd run of `\` before it. Each
+/// `"` is found by `str::find`, which scans by words too.
+pub(crate) fn find_string_end(s: &str) -> Option<usize> {
+    let mut at = 0;
+    loop {
+        let q = at + s[at..].find('"')?;
+        let slashes = s.as_bytes()[at..q]
+            .iter()
+            .rev()
+            .take_while(|&&b| b == b'\\');
+        if slashes.count() % 2 == 0 {
+            return Some(q);
+        }
+        at = q + 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +93,15 @@ mod tests {
                     s.iter().position(|&b| is_string_stop(b)),
                     "string stop in {s:02x?}"
                 );
+                let mut escaped = false;
+                let end = s.iter().position(|&b| {
+                    let closes = b == b'"' && !escaped;
+                    escaped = b == b'\\' && !escaped;
+                    closes
+                });
+                if let Ok(t) = std::str::from_utf8(s) {
+                    assert_eq!(find_string_end(t), end, "string end in {s:02x?}");
+                }
             }
         }
     }

@@ -24,12 +24,12 @@
 //! ```
 
 use crate::db::{Analysis, EngineSel, Outcome};
-use crate::exec::{Base, BindingReport, CheckReport, DeadlineExceeded, Executor, Pass};
+use crate::exec::{dep_env, Base, BindingReport, CheckReport, DeadlineExceeded, Executor, Pass};
 use crate::persist::{self, LoadOutcome, PersistConfig, SaveOutcome};
 use crate::protocol::Kept;
 use crate::shared::Shared;
 use crate::sync::Arc;
-use freezeml_core::{Options, ParseError};
+use freezeml_core::{Options, ParseError, Symbol, Var};
 use freezeml_obs::{next_session_id, Registry, TraceCtx};
 use std::collections::HashMap;
 use std::fmt;
@@ -449,48 +449,29 @@ impl Service {
         let report = entry.report.as_ref().ok_or_else(|| {
             ServiceError::Elaborate("the document has not been checked".to_string())
         })?;
-        let Some(i) = a.decls.iter().rposition(|d| d.name() == name) else {
+        // Binding names are interned: a name never interned names no
+        // binding, and an interned one is compared as a symbol.
+        let visible = |sym| a.decls.iter().rposition(|d| d.name_sym() == sym);
+        let Some(i) = Symbol::lookup(name).and_then(visible) else {
             return Ok(None);
         };
-        let must_be_typed = |j: usize| -> Result<(), ServiceError> {
-            match &report.bindings[j].outcome {
-                Outcome::Typed { .. } => Ok(()),
-                other => Err(ServiceError::Elaborate(format!(
-                    "binding `{}` is not well typed: {}",
-                    report.bindings[j].name,
-                    other.display()
-                ))),
-            }
+        let typed = |j: usize| match &report.bindings[j].outcome {
+            Outcome::Typed { id, scheme, .. } => Ok((*id, scheme)),
+            other => Err(ServiceError::Elaborate(format!(
+                "binding `{}` is not well typed: {}",
+                report.bindings[j].name,
+                other.display()
+            ))),
         };
-        must_be_typed(i)?;
-        let Outcome::Typed {
-            scheme: binding_scheme,
-            ..
-        } = &report.bindings[i].outcome
-        else {
-            unreachable!("checked typed above")
-        };
-        let binding_scheme = binding_scheme.to_string();
+        let binding_scheme = typed(i)?.1.to_string();
         // Dependency schemes enter the environment as materialised
         // trees, and the request re-infers through the one-shot engine
         // entry points (this is a protocol-boundary operation, like
         // type-of's rendering — the hot check path never comes here).
-        let mut env = if a.uses_prelude {
-            freezeml_corpus::figure2_shared().clone()
-        } else {
-            freezeml_core::TypeEnv::new()
-        };
-        let bank = self.shared.bank();
-        for &d in a.deps(i) {
-            must_be_typed(d)?;
-            let Outcome::Typed { id, .. } = &report.bindings[d].outcome else {
-                unreachable!("checked typed above")
-            };
-            env.push(
-                freezeml_core::Var::from_symbol(a.decls[d].name_sym()),
-                bank.to_type(*id),
-            );
-        }
+        let deps = (a.deps(i).iter())
+            .map(|&d| Ok((Var::from_symbol(a.decls[d].name_sym()), typed(d)?.0)))
+            .collect::<Result<Vec<_>, ServiceError>>()?;
+        let env = dep_env(self.shared.bank(), a.uses_prelude, &deps);
         let term = a.decls[i].probe_term();
         let elab = |e: ElabEngine| {
             check_sound(e, &env, term, &self.cfg.opts).map_err(ServiceError::Elaborate)

@@ -8,21 +8,26 @@
 //!   document, and allocates fewer bytes than a copy of the report's
 //!   verdicts would add to what the request itself needs;
 //! * analysing the document allocates a bounded number of times per
-//!   chunk, into an empty parse cache and into a warm one.
+//!   chunk, into an empty parse cache and into a warm one;
+//! * a session's answer buffer, grown past the request cap by one
+//!   answer, is gone by the time the next answer is written.
 //!
 //! The counts are deterministic, so unlike a timer they hold on any
 //! host.
 //!
 //! This binary installs a counting global allocator, which counts
-//! allocations and the bytes they ask for. Counts are kept per thread,
-//! so tests running side by side do not see each other's allocations.
+//! allocations, the bytes they ask for, and the bytes live. Counts are
+//! kept per thread, so tests running side by side do not see each
+//! other's allocations.
 
 use freezeml_core::Options;
 use freezeml_service::{
-    analyze_cached, handle_line, EngineSel, Frontend, GenProgram, Service, ServiceConfig,
+    analyze_cached, handle_line, serve_with, EngineSel, Frontend, GenProgram, Request,
+    ServeOptions, Service, ServiceConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{self, Cursor, Write};
 
 struct Counting;
 
@@ -32,38 +37,43 @@ thread_local! {
     // thread's life without recursing into itself.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    // Bytes allocated less bytes freed on this thread (negative when it
+    // frees what another thread allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Count one allocation of `bytes` bytes (a reallocation counts its new
-/// size).
-fn note(bytes: usize) {
+/// size), which makes `grown` more bytes live.
+fn note(bytes: usize, grown: i64) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = LIVE.try_with(|c| c.set(c.get() + grown));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counting side effect touches only a thread-local `Cell`
+// unchanged; the counting side effect touches only thread-local `Cell`s
 // and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|c| c.set(c.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` through this allocator and the
         // caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -124,17 +134,20 @@ fn a_warm_check_answer_allocates_a_constant_number_of_times() {
 /// (when every edit re-chunked, re-hashed and re-resolved the whole
 /// document, then probed the verdict cache for every binding), this edit
 /// made 11 616 allocations, 2 000 parse-chunk lookups and 2 000 verdict
-/// probes; patched, it makes 82, 1 and 1.
+/// probes; patched, it made 82, 1 and 1, and now makes 57, 1 and 1.
 const MAX_EDIT_ALLOCS: u64 = 256;
 /// The bytes gate. While each pass copied the report's 2 000 verdicts into
 /// a fresh 176 016-byte slice, this edit asked for 487 849 bytes (the
 /// copy, a 28 672-byte line index, the request text copied out of the
-/// decoded line, and the rest); the gate is that count less the slice.
-/// Patching the report in place, keeping the answer, and moving the
-/// decoded text into the request, it asks for about 263 000, the line
-/// index that shows no binding moved included. A kept answer rendered
-/// afresh rather than left alone would add about 215 000.
-const MAX_EDIT_BYTES: u64 = 487_849 - 176_016;
+/// decoded line, and the rest). Patching the report in place, keeping
+/// the answer, and moving the decoded text into the request, it asked
+/// for 263 357, the line index that shows no binding moved included.
+/// Writing each verdict straight into the report's slice (no side table
+/// of dirty bindings) and decoding the 48.5 KB request text into one
+/// allocation (not a dozen doublings up to 49 152 bytes), it asks for
+/// 207 571; the gate leaves 2% above that. A kept answer rendered afresh
+/// rather than left alone would add about 215 000.
+const MAX_EDIT_BYTES: u64 = 212_000;
 const MAX_EDIT_LOOKUPS: u64 = 2;
 const MAX_EDIT_PROBES: u64 = 2;
 
@@ -251,5 +264,57 @@ fn analysing_a_document_allocates_a_bounded_number_of_times_per_chunk() {
     assert!(
         n_warm <= MAX_WARM_ANALYSIS_ALLOCS,
         "a warm analysis of {N} bindings made {n_warm} allocations (gate: ≤ {MAX_WARM_ANALYSIS_ALLOCS})"
+    );
+}
+
+/// A writer that records, at each write, the bytes written and the bytes
+/// live on its thread.
+struct LiveAtWrite(Vec<(usize, i64)>);
+
+impl Write for LiveAtWrite {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // (The records' room is reserved up front: recording allocates
+        // nothing.)
+        self.0.push((buf.len(), LIVE.with(Cell::get)));
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn an_answer_buffer_grown_past_the_request_cap_is_released() {
+    const CAP: usize = 4096;
+    let open = Request::Open {
+        doc: "m".into(),
+        text: GenProgram::generate(120, 0).text(),
+    }
+    .to_json()
+    .to_string();
+    assert!(open.len() <= CAP, "the open request fits the cap");
+    let script = open + "\n" + r#"{"cmd":"type-of","doc":"m","name":"b1"}"# + "\n";
+    let mut svc = Service::new(ServiceConfig {
+        opts: Options::default(),
+        engine: EngineSel::Uf,
+        workers: 1,
+    });
+    let opts = ServeOptions {
+        max_request_bytes: CAP,
+        ..ServeOptions::default()
+    };
+    let mut writes = LiveAtWrite(Vec::with_capacity(8));
+    serve_with(&mut svc, Cursor::new(script), &mut writes, &opts).expect("served");
+    let [(report, live_then), (_, live_now)] = writes.0[..] else {
+        panic!("one write per answer: {:?}", writes.0);
+    };
+    assert!(report > CAP, "the report outgrows the cap: {report} bytes");
+    // Released, the buffer takes at least the report's bytes with it
+    // (half of them bound it, whatever else the next request allocates);
+    // kept, the next answer would find them still live.
+    assert!(
+        live_now < live_then - report as i64 / 2,
+        "{report} bytes answered, then {live_then} bytes live; at the next answer {live_now}"
     );
 }

@@ -24,8 +24,8 @@
 //!   arena, union-find cells with the paper's `•`/`⋆` kinds, levels for
 //!   generalisation, trail-checked escapes — the hot path, held to the
 //!   paper-literal [`core`] oracle by a differential layer.
-//! * [`obs`] — the observability layer: zero-cost tracing spans (the
-//!   sink type parameter monomorphises the disabled path away), a
+//! * [`obs`] — the observability layer: tracing spans through one
+//!   `Tracer` handle (a disabled tracer costs each site one branch), a
 //!   lock-free sharded metrics registry with log-bucketed latency
 //!   histograms, and the data behind the service's `stats` / `metrics`
 //!   protocol commands.
